@@ -127,6 +127,45 @@ class Environment:
             self.scheduler.push((self._now + delay, NORMAL, eid, t))
         return t
 
+    def timeout_at(self, at: float, value: Any = None) -> Timeout:
+        """Create a :class:`Timeout` that fires at absolute time ``at``.
+
+        The entry is ``(at, NORMAL, eid)``, exactly what ``timeout(delay)``
+        pushes when ``now + delay == at``, so a caller that sums a fixed
+        timeline itself (with the same float additions a chain of relative
+        timeouts would make) lands on the same instants and the same
+        tie-break rank among events created at that moment.
+        """
+        if at < self._now:
+            raise ValueError(f"time {at} is in the past (now {self._now})")
+        t = Timeout.__new__(Timeout)
+        t.env = self
+        t.callbacks = []
+        t._value = value
+        t._ok = True
+        t._defused = False
+        t._delay = at - self._now
+        eid = self._eid
+        self._eid = eid + 1
+        if self._heapmode:
+            heappush(self._queue, (at, NORMAL, eid, t))
+        else:
+            self.scheduler.push((at, NORMAL, eid, t))
+        return t
+
+    def reschedule(self, event: Event, at: float) -> None:
+        """Move a scheduled, unprocessed ``event`` to absolute time ``at``.
+
+        The event keeps its priority and event id.  O(pending events): meant
+        for rare corrections, such as pulling an interrupted job's abandoned
+        end-of-job timeout back to where its in-flight stage would have
+        ended, so the clock drains at the same instant either way.
+        """
+        if at < self._now:
+            raise ValueError(f"time {at} is in the past (now {self._now})")
+        _, priority, eid, _ = self.scheduler.remove(event)
+        self.scheduler.push((at, priority, eid, event))
+
     def process(self, generator: ProcessGenerator) -> Process:
         """Start a new :class:`Process` from ``generator``."""
         return Process(self, generator)

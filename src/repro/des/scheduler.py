@@ -29,7 +29,7 @@ is ``None``).
 from __future__ import annotations
 
 import os
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, List, Optional, Tuple, Union
 
 __all__ = [
@@ -72,6 +72,10 @@ class EventScheduler:
         """Time of the minimum entry, or ``inf`` when empty."""
         raise NotImplementedError
 
+    def remove(self, event: Any) -> Entry:
+        """Remove and return ``event``'s pending entry (``ValueError`` if none)."""
+        raise NotImplementedError
+
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -98,6 +102,17 @@ class HeapScheduler(EventScheduler):
 
     def peek_time(self) -> float:
         return self.items[0][0] if self.items else Infinity
+
+    def remove(self, event: Any) -> Entry:
+        items = self.items
+        for i, entry in enumerate(items):
+            if entry[3] is event:
+                last = items.pop()
+                if i < len(items):
+                    items[i] = last
+                    heapify(items)
+                return entry
+        raise ValueError(f"{event!r} is not scheduled")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -193,6 +208,19 @@ class CalendarQueue(EventScheduler):
             if bucket and bucket[0][0] < best:
                 best = bucket[0][0]
         return best
+
+    def remove(self, event: Any) -> Entry:
+        # No size-triggered resize: the caller pushes a replacement entry.
+        for bucket in self._buckets:
+            for i, entry in enumerate(bucket):
+                if entry[3] is event:
+                    last = bucket.pop()
+                    if i < len(bucket):
+                        bucket[i] = last
+                        heapify(bucket)
+                    self._size -= 1
+                    return entry
+        raise ValueError(f"{event!r} is not scheduled")
 
     # -- resizing ----------------------------------------------------------
     def _resize(self, nbuckets: int) -> None:

@@ -28,6 +28,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
+from ..hardware import TapeId
+
 __all__ = [
     "CACHE_SALT",
     "MISS",
@@ -62,6 +64,9 @@ def canonicalize(obj: Any) -> Any:
         return {"__dataclass__": type(obj).__name__, **fields}
     if isinstance(obj, dict):
         return {str(k): canonicalize(v) for k, v in obj.items()}
+    if isinstance(obj, TapeId):
+        # A named tuple now; keyed as the dataclass it was, so keys hold.
+        return {"__dataclass__": "TapeId", "library": obj.library, "slot": obj.slot}
     if isinstance(obj, (list, tuple)):
         return [canonicalize(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:

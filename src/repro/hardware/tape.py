@@ -3,44 +3,28 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .specs import TapeSpec
 
 __all__ = ["TapeId", "ObjectExtent", "Tape"]
 
 
-@dataclass(frozen=True, order=True)
-class TapeId:
+class TapeId(NamedTuple):
     """Globally unique tape address: (library index, slot index).
 
     Tape ids are compared and hashed constantly on the scheduler hot path
-    (committed-tape maps, mounted-drive scans, displacement checks), and
-    nearly all of those comparisons are against the *canonical* id objects
-    that flow out of ``Library.tapes`` / ``Tape.id``.  The manual ``__eq__``
-    below short-circuits on identity first, and the hash of the (immutable)
-    field pair is computed once and cached.
+    (committed-tape maps, mounted-drive scans, displacement checks).  As a
+    named tuple, hashing, equality and ordering run in C; the hash is
+    ``hash((library, slot))``, so set and dict iteration orders are those
+    of the field pair.
     """
 
     library: int
     slot: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.library, self.slot)))
-        object.__setattr__(self, "_str", f"L{self.library}.T{self.slot}")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if isinstance(other, TapeId):
-            return self.library == other.library and self.slot == other.slot
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
-
     def __str__(self) -> str:
-        return self._str  # type: ignore[attr-defined]
+        return f"L{self.library}.T{self.slot}"
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ on a session's long-lived shared environment
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, Mapping, Optional, Union
 
@@ -395,14 +396,32 @@ def _serve_job(
 ):
     """Read all of a job's extents in the planner's chosen order.
 
-    The job's completion index advances as extents finish, so an
-    interrupting failure knows exactly what is left to re-queue without
-    scanning (the former per-extent ``list.remove`` was O(n²) per job).
+    Without a disk-stage cap a job's timeline is fixed once it is planned
+    on the mounted tape, so the whole job is one kernel event: a timeout
+    at its absolute end, summed with the same left-to-right float
+    additions a chain of per-extent seek/transfer timeouts would make
+    (every ``env.now`` is bit-identical).  The drive record is folded in
+    plan order and ``job.completed`` set when the job lands.  With a disk
+    cap, admission happens per extent, so :func:`_read_disk_capped` runs
+    the per-extent loop instead.
 
-    A failure interrupt arriving mid-stage unwinds through the span
-    context managers, closing the in-flight span with ``aborted=True`` —
-    the stage's time is *not* folded into ``record`` (the extent restarts
-    from scratch elsewhere), and attribution skips aborted spans.
+    An :class:`Interrupt` (drive failure) at ``now`` bisects the prefix
+    end times: an extent counts as read only if it ended strictly before
+    ``now``, and the in-flight extent's seek only if that seek ended
+    strictly before ``now``; the in-flight extent restarts from scratch
+    elsewhere, and of its time only a finished seek is folded into
+    ``record``, as the per-extent path folds it.  This strict
+    rule is what the per-extent path does for every failure scheduled
+    before the extent began, whose event then precedes the extent's
+    equal-time timeout.  The abandoned end-of-job timeout is moved back
+    to where the in-flight stage would have ended, as the per-extent
+    path's abandoned stage timeout does, so the clock drains identically.
+
+    With tracing on, the per-extent ``seek``/``transfer`` spans are
+    synthesized from the plan when the job lands or is interrupted: same
+    names, start/end times, parent, request and attributes, with the
+    in-flight stage tagged ``aborted``.  Their span ids are claimed then,
+    in plan order.
     """
     tape = drive.mounted
     assert tape is not None and tape.id == job.tape_id, "job routed to wrong drive"
@@ -410,18 +429,133 @@ def _serve_job(
         planner = resolve_seek_planner(None)
     ordered, _ = planner.plan(job.remaining_extents, tape.head_mb, drive.tape_spec)
     job.begin(ordered)
+    if disk is not None:
+        yield from _read_disk_capped(env, drive, job, record, trace, disk, parent, request)
+        return
+    if not ordered:
+        return
+    read = drive.read_extent
+    seeks: list = []
+    transfers: list = []
+    seek_ends: list = []
+    ends: list = []
+    started = t = env._now
+    for extent in ordered:
+        seek, transfer = read(extent)
+        if seek > 0:
+            t += seek
+        seeks.append(seek)
+        seek_ends.append(t)
+        t += transfer
+        transfers.append(transfer)
+        ends.append(t)
+    end_event = env.timeout_at(t)
+    try:
+        yield end_event
+    except BaseException:
+        now = env._now
+        done = bisect_left(ends, now)
+        in_seek = seeks[done] > 0 and seek_ends[done] >= now
+        _fold_extents(record, ordered, seeks, transfers, done)
+        if not in_seek:
+            record.seek_s += seeks[done]
+        job.completed = done
+        env.reschedule(end_event, seek_ends[done] if in_seek else ends[done])
+        if trace.enabled:
+            _trace_extents(
+                trace, ordered, seeks, seek_ends, ends, started, done,
+                str(drive.id), parent, request, aborted_at=now, in_seek=in_seek,
+            )
+        raise
+    _fold_extents(record, ordered, seeks, transfers, len(ordered))
+    job.completed = len(ordered)
+    if trace.enabled:
+        _trace_extents(
+            trace, ordered, seeks, seek_ends, ends, started, len(ordered),
+            str(drive.id), parent, request,
+        )
+
+
+def _fold_extents(record, ordered, seeks, transfers, count: int) -> None:
+    """Fold the first ``count`` extents into ``record``, in plan order.
+
+    Explicit left-to-right additions (not ``sum``, which compensates on
+    newer Pythons) reproduce the per-extent path's running totals exactly.
+    """
+    seek_s, transfer_s, bytes_mb = record.seek_s, record.transfer_s, record.bytes_mb
+    for k in range(count):
+        seek_s += seeks[k]
+        transfer_s += transfers[k]
+        bytes_mb += ordered[k].size_mb
+    record.seek_s, record.transfer_s, record.bytes_mb = seek_s, transfer_s, bytes_mb
+
+
+def _trace_extents(
+    trace: Trace,
+    ordered,
+    seeks,
+    seek_ends,
+    ends,
+    started: float,
+    count: int,
+    drive_name: str,
+    parent: Optional[int],
+    request: Optional[int],
+    aborted_at: Optional[float] = None,
+    in_seek: bool = False,
+) -> None:
+    """Append the seek/transfer spans of a job's first ``count`` extents.
+
+    With ``aborted_at`` the next extent was in flight when the job was
+    interrupted: its finished seek (unless ``in_seek``) is closed normally
+    and the stage in flight ends at ``aborted_at``, tagged ``aborted``.
+    Raw span tuples, as the per-stage fast lanes append them.
+    """
+    append = trace._spans.append
+    sid = trace._next_id
+    begin = started
+    for k in range(count):
+        attrs = ("drive", drive_name, "object", ordered[k].object_id)
+        seek_end = seek_ends[k]
+        if seeks[k] > 0:
+            append(("seek", begin, seek_end, attrs, sid, parent, request))
+            sid += 1
+        begin = ends[k]
+        append(("transfer", seek_end, begin, attrs, sid, parent, request))
+        sid += 1
+    if aborted_at is not None:
+        object_id = ordered[count].object_id
+        aborted = {"drive": drive_name, "object": object_id, "aborted": True}
+        if in_seek:
+            append(("seek", begin, aborted_at, aborted, sid, parent, request))
+        else:
+            seek_end = seek_ends[count]
+            if seeks[count] > 0:
+                attrs = ("drive", drive_name, "object", object_id)
+                append(("seek", begin, seek_end, attrs, sid, parent, request))
+                sid += 1
+            append(("transfer", seek_end, aborted_at, aborted, sid, parent, request))
+        sid += 1
+    trace._next_id = sid
+
+
+def _read_disk_capped(env, drive, job, record, trace, disk, parent, request):
+    """The per-extent loop: each transfer first takes a disk-stream slot.
+
+    The job's completion index advances as extents finish, so an
+    interrupting failure knows what is left to re-queue.  A failure
+    interrupt arriving mid-stage closes the in-flight span with
+    ``aborted=True``; the stage's time is *not* folded into ``record``.
+    With tracing on, the seek/transfer spans bypass the ``SpanContext``
+    machinery: the span id is claimed and the raw span tuple appended
+    inline, reproducing the context manager's id order, timestamps and
+    aborted tagging.
+    """
     drive_name = str(drive.id)
-    # The per-extent loop is the engine's hot path: with tracing off, even a
-    # null-context call per seek/transfer is measurable, so hoist the check.
-    # With tracing on, the seek/transfer spans (the majority of all spans in
-    # any run) bypass the SpanContext machinery entirely: the span id is
-    # claimed and the raw span tuple appended inline (the storage format
-    # ``Trace._all`` materializes lazily), reproducing the context manager's
-    # id-allocation order, timestamps and aborted-on-interrupt tagging.
     tracing = trace.enabled
     if tracing:
         span_append = trace._spans.append
-    for extent in ordered:
+    for extent in job.extents:
         seek, transfer = drive.read_extent(extent)
         if seek > 0:
             if tracing:
@@ -445,55 +579,34 @@ def _serve_job(
             else:
                 yield env.timeout(seek)
         record.seek_s += seek
-        if disk is not None:
-            requested_at = env.now
-            with disk.request() as slot:
-                yield slot
-                if env.now > requested_at:
-                    trace.record(
-                        "disk_wait", requested_at, env.now,
-                        parent=parent, request=request, drive=drive_name,
-                    )
-                if tracing:
-                    sid = trace._next_id
-                    trace._next_id = sid + 1
-                    started = env._now
-                    try:
-                        yield env.timeout(transfer)
-                    except BaseException:
-                        span_append((
-                            "transfer", started, env._now,
-                            {"drive": drive_name, "object": extent.object_id, "aborted": True},
-                            sid, parent, request,
-                        ))
-                        raise
+        requested_at = env.now
+        with disk.request() as slot:
+            yield slot
+            if env.now > requested_at:
+                trace.record(
+                    "disk_wait", requested_at, env.now,
+                    parent=parent, request=request, drive=drive_name,
+                )
+            if tracing:
+                sid = trace._next_id
+                trace._next_id = sid + 1
+                started = env._now
+                try:
+                    yield env.timeout(transfer)
+                except BaseException:
                     span_append((
                         "transfer", started, env._now,
-                        ("drive", drive_name, "object", extent.object_id),
+                        {"drive": drive_name, "object": extent.object_id, "aborted": True},
                         sid, parent, request,
                     ))
-                else:
-                    yield env.timeout(transfer)
-        elif tracing:
-            sid = trace._next_id
-            trace._next_id = sid + 1
-            started = env._now
-            try:
-                yield env.timeout(transfer)
-            except BaseException:
+                    raise
                 span_append((
                     "transfer", started, env._now,
-                    {"drive": drive_name, "object": extent.object_id, "aborted": True},
+                    ("drive", drive_name, "object", extent.object_id),
                     sid, parent, request,
                 ))
-                raise
-            span_append((
-                "transfer", started, env._now,
-                ("drive", drive_name, "object", extent.object_id),
-                sid, parent, request,
-            ))
-        else:
-            yield env.timeout(transfer)
+            else:
+                yield env.timeout(transfer)
         record.transfer_s += transfer
         record.bytes_mb += extent.size_mb
         job.advance()

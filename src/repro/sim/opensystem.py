@@ -263,9 +263,18 @@ class SerialFCFSPolicy:
             raise RuntimeError("serial-fcfs lock still held after the run drained")
 
 
-@dataclass
+#: "Not computed yet" marker for per-call lazily chosen values.
+_UNSET = object()
+
+
+@dataclass(eq=False)
 class _DispatchedJob:
-    """One tape job in flight through a library dispatcher."""
+    """One tape job in flight through a library dispatcher.
+
+    Compared by identity (``eq=False``): ``pending.remove`` then matches
+    the job object itself instead of comparing every field of each job
+    queued ahead of it.
+    """
 
     job: TapeJob
     #: Span-tree grouping key of the owning arrival (unique per arrival).
@@ -687,6 +696,12 @@ class _LibraryDispatcher:
             for drive in library.drives
             if not drive.failed
         }
+        #: ``(live drives, degraded)``, built at the first dispatch round
+        #: (after the run's ``session.reset()`` has pinned drives) and
+        #: dropped whenever ``workers`` changes.
+        self._live: Optional[Tuple[List[TapeDrive], bool]] = None
+        #: The current round's protected tape set, built on first use.
+        self._protected: Optional[Set[TapeId]] = None
 
     # -- admission ------------------------------------------------------
     def submit(self, djob: _DispatchedJob) -> None:
@@ -754,28 +769,26 @@ class _LibraryDispatcher:
 
     def _dispatch(self) -> None:
         if self.pending:
-            # Round-invariant context, hoisted out of the assignment loop:
-            # the live-drive pool and its degraded flag cannot change during
-            # a synchronous dispatch round (workers only resume at a later
-            # kernel step), and ``protected`` — tapes of pending jobs plus
-            # committed tapes — is invariant under assignment because an
-            # assigned job's tape moves from the pending side of the union
-            # to the committed side.
-            workers = self.workers
-            live = [d for d in self.library.drives if d.id.index in workers]
-            degraded = not any(not d.pinned for d in live)
-            protected = {dj.job.tape_id for dj in self.pending} | set(self.committed)
-            # Mounted-cartridge index in drive order (mounts only change
-            # when a worker later resumes), replacing a per-pending-job
-            # ``drive_holding`` scan with one dict lookup.  ``setdefault``
-            # keeps the first-match semantics of the scan it replaces.
-            mounted = {}
-            for d in self.library.drives:
-                tape = d.mounted
-                if tape is not None:
-                    mounted.setdefault(tape.id, d)
-            while self.pending and self._try_assign(live, degraded, protected, mounted):
-                pass
+            live, degraded = self._live_pool()
+            busy = self.busy
+            # With every live drive busy nothing can be assigned: the round
+            # ends before any per-round state is built.
+            if any(d.id.index not in busy for d in live):
+                # Mounted-cartridge index in drive order (mounts only change
+                # when a worker later resumes, never during a synchronous
+                # round), replacing a per-pending-job ``drive_holding`` scan
+                # with one dict lookup.  ``setdefault`` keeps the first-match
+                # semantics of the scan it replaces.
+                mounted = {}
+                for d in self.library.drives:
+                    tape = d.mounted
+                    if tape is not None:
+                        mounted.setdefault(tape.id, d)
+                # ``protected`` is built at the round's first displacement
+                # decision (see :meth:`_offline_drive`).
+                self._protected = None
+                while self.pending and self._try_assign(live, degraded, mounted):
+                    pass
         self.pending_gauge.set(len(self.pending), self.env.now)
         if self._restore_waiters:
             waiters, self._restore_waiters = self._restore_waiters, []
@@ -783,7 +796,47 @@ class _LibraryDispatcher:
                 if not event.triggered:
                     event.succeed()
 
-    def _try_assign(self, live, degraded, protected, mounted) -> bool:
+    def _live_pool(self) -> Tuple[List[TapeDrive], bool]:
+        """Live drives in drive order and whether no unpinned one is left.
+
+        Cached between pool changes: only a drive failure (worker exit) or
+        a repair (new worker) changes it, and both drop the cache.
+        """
+        pool = self._live
+        if pool is None:
+            workers = self.workers
+            live = [d for d in self.library.drives if d.id.index in workers]
+            pool = self._live = (live, not any(not d.pinned for d in live))
+        return pool
+
+    def _offline_drive(self, idle: List[TapeDrive], degraded: bool) -> Optional[TapeDrive]:
+        """The drive an offline tape would take now, or None.
+
+        An idle empty switch drive first (the lowest index), otherwise the
+        replacement-policy minimum among idle drives whose mounted tape is
+        not ``protected``: the tapes of pending jobs plus committed tapes.
+        Nothing here depends on which job asks, and ``protected`` is
+        invariant during a round because an assigned job's tape moves from
+        the pending side of the union to the committed side.
+        """
+        candidates = [d for d in idle if degraded or not d.pinned]
+        for d in candidates:
+            if d.mounted is None:
+                return d
+        protected = self._protected
+        if protected is None:
+            protected = {dj.job.tape_id for dj in self.pending}
+            protected.update(self.committed)
+            self._protected = protected
+        displaceable = [d for d in candidates if d.mounted.id not in protected]
+        if not displaceable:
+            return None
+        return min(
+            displaceable,
+            key=lambda d: replacement_key(self.replacement_policy, d, self.tape_priority),
+        )
+
+    def _try_assign(self, live, degraded, mounted) -> bool:
         """Assign the first admissible pending job; True if one was placed."""
         busy = self.busy
         idle = [d for d in live if d.id.index not in busy]
@@ -794,6 +847,7 @@ class _LibraryDispatcher:
         pending = (
             self._repair_order() if self._repair_pending else self.pending
         )
+        offline = _UNSET
         for djob in pending:
             repair_cost = 0.0
             if djob.repair:
@@ -808,26 +862,15 @@ class _LibraryDispatcher:
                 if holder is not None and holder.id.index in workers:
                     holder_idx = holder.id.index
             if holder_idx is not None:
-                if holder_idx in self.busy:
+                if holder_idx in busy:
                     continue  # the cartridge lives in a busy drive: wait for it
                 chosen = self.library.drives[holder_idx]
             else:
-                candidates = [d for d in idle if degraded or not d.pinned]
-                empty = [d for d in candidates if d.mounted is None]
-                if empty:
-                    chosen = min(empty, key=lambda d: d.id.index)
-                else:
-                    displaceable = [
-                        d for d in candidates if d.mounted.id not in protected
-                    ]
-                    if not displaceable:
-                        continue
-                    chosen = min(
-                        displaceable,
-                        key=lambda d: replacement_key(
-                            self.replacement_policy, d, self.tape_priority
-                        ),
-                    )
+                if offline is _UNSET:
+                    offline = self._offline_drive(idle, degraded)
+                if offline is None:
+                    continue
+                chosen = offline
             self.pending.remove(djob)
             if djob.repair:
                 self._repair_pending -= 1
@@ -904,6 +947,7 @@ class _LibraryDispatcher:
             return False
         drive.failed = False
         self.workers[idx] = self.env.process(self._worker(drive))
+        self._live = None
         injector = self.opensys.injector
         if injector is not None:
             injector.note_drive_up(str(drive.id))
@@ -1110,6 +1154,7 @@ class _LibraryDispatcher:
             if drive.mounted is not None:
                 drive.unmount()  # cartridge pulled back to its cell
             self.workers.pop(idx, None)
+            self._live = None
             self.wake.pop(idx, None)
             self.busy.discard(idx)
             self._dying.discard(idx)
@@ -1143,6 +1188,8 @@ class _LibraryDispatcher:
         self, djob: _DispatchedJob, drive_name: str, aborted: bool = False
     ) -> None:
         """Close the job's reserved ``tape_job`` span (exactly once)."""
+        if djob.span_id is None:
+            return  # tracing off: no span was reserved
         attrs = {"tape": str(djob.job.tape_id), "drive": drive_name}
         if aborted:
             attrs["aborted"] = True

@@ -1,5 +1,7 @@
 """Tests for Tape layout management."""
 
+import pickle
+
 import pytest
 
 from repro.hardware import ObjectExtent, Tape, TapeId, TapeSpec
@@ -91,3 +93,34 @@ class TestTapeLayout:
     def test_iteration_in_position_order(self, tape):
         tape.write_layout([ObjectExtent(2, 100, 10), ObjectExtent(1, 0, 10)])
         assert [e.object_id for e in tape] == [1, 2]
+
+
+class TestTapeIdInvariants:
+    """TapeId is a named tuple; everything observable stays as it was."""
+
+    def test_hash_is_the_field_pair_hash(self):
+        for lib, slot in [(0, 0), (1, 7), (12, 3)]:
+            assert hash(TapeId(lib, slot)) == hash((lib, slot))
+
+    def test_str_repr_and_order(self):
+        tid = TapeId(2, 11)
+        assert str(tid) == "L2.T11"
+        assert f"{tid}" == "L2.T11"
+        assert repr(tid) == "TapeId(library=2, slot=11)"
+        assert (tid.library, tid.slot) == (2, 11)
+        ids = [TapeId(1, 0), TapeId(0, 5), TapeId(0, 2), TapeId(1, 1)]
+        assert sorted(ids) == [TapeId(0, 2), TapeId(0, 5), TapeId(1, 0), TapeId(1, 1)]
+        assert TapeId(0, 9) < TapeId(1, 0)
+
+    def test_pickle_round_trip(self):
+        tid = TapeId(3, 4)
+        back = pickle.loads(pickle.dumps(tid))
+        assert back == tid and type(back) is TapeId and str(back) == "L3.T4"
+
+    def test_sweep_cache_key_form_is_unchanged(self):
+        from repro.experiments.cache import canonical_json
+
+        assert canonical_json({"tape": TapeId(1, 2), "tapes": [TapeId(0, 3)]}) == (
+            '{"tape":{"__dataclass__":"TapeId","library":1,"slot":2},'
+            '"tapes":[{"__dataclass__":"TapeId","library":0,"slot":3}]}'
+        )

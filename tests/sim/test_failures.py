@@ -52,6 +52,28 @@ class TestDriveFailure:
         assert lib.drives[0].mounted is None  # cartridge pulled
         assert lib.drives[1].mounted.id == TapeId(0, 0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="known defect: a drive serving in place is spawned non-switchable "
+        "and never drains work re-queued by a failure during its job",
+    )
+    def test_failure_while_every_survivor_serves_in_place(self):
+        """Both drives serve mounted tapes in place; drive 0 dies.  The
+        re-queued extent should be read by drive 1 after its own job."""
+        system = make_system()
+        lib = system.library(0)
+        lib.tape(TapeId(0, 0)).write_layout([ObjectExtent(1, 0, 200.0)])
+        lib.tape(TapeId(0, 1)).write_layout([ObjectExtent(2, 0, 300.0)])
+        lib.drives[0].mount(lib.tape(TapeId(0, 0)))
+        lib.drives[1].mount(lib.tape(TapeId(0, 1)))
+        index = LocationIndex.from_system(system)
+
+        m = simulate_request(
+            system, index, Request(0, (1, 2), 1.0), failures={"L0.D0": 5.0}
+        )
+        assert m.size_mb == pytest.approx(500.0)
+
     def test_failure_after_completion_changes_nothing(self):
         system = make_system()
         lib = system.library(0)
