@@ -1,12 +1,16 @@
 """The object catalog: ids, sizes, and derived access probabilities.
 
-Objects are identified by dense integer ids ``0 .. N-1``; sizes and
-probabilities live in NumPy arrays so placement algorithms can sort/scan
-30 000 objects vectorized (per the HPC guides: vectorize, don't loop).
+Objects are identified by dense integer ids ``0 .. N-1``.  Sizes and
+probabilities are stored once, in ``array('d')`` buffers that the NumPy
+arrays view without a copy.  The rule: NumPy for whole-array passes (the
+density sort, sums over many members); per-object walks read Python floats
+through :meth:`ObjectCatalog.size_of` / :meth:`~ObjectCatalog.probability_of`,
+which index the buffers directly instead of boxing a NumPy scalar per call.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -38,15 +42,16 @@ class ObjectCatalog:
     """All objects of a workload, array-backed."""
 
     def __init__(self, sizes_mb: Sequence[float], probabilities: Optional[Sequence[float]] = None):
-        self._sizes = np.asarray(sizes_mb, dtype=np.float64)
-        if self._sizes.ndim != 1:
+        sizes = np.asarray(sizes_mb, dtype=np.float64)
+        if sizes.ndim != 1:
             raise ValueError("sizes_mb must be one-dimensional")
-        if len(self._sizes) == 0:
+        if len(sizes) == 0:
             raise ValueError("catalog must contain at least one object")
-        if np.any(self._sizes <= 0):
+        if np.any(sizes <= 0):
             raise ValueError("all object sizes must be positive")
+        self._size_buf, self._sizes = _shared_buffer(sizes)
         if probabilities is None:
-            self._probs = np.zeros(len(self._sizes), dtype=np.float64)
+            self._prob_buf, self._probs = _shared_buffer(np.zeros(len(sizes)))
         else:
             self.set_probabilities(probabilities)
 
@@ -83,14 +88,14 @@ class ObjectCatalog:
             )
         if np.any(probs < 0):
             raise ValueError("probabilities must be non-negative")
-        self._probs = probs.copy()
+        self._prob_buf, self._probs = _shared_buffer(probs)
 
     # -- scalar access -------------------------------------------------------
     def size_of(self, object_id: int) -> float:
-        return float(self._sizes[object_id])
+        return self._size_buf[object_id]
 
     def probability_of(self, object_id: int) -> float:
-        return float(self._probs[object_id])
+        return self._prob_buf[object_id]
 
     def object(self, object_id: int) -> StorageObject:
         return StorageObject(object_id, self.size_of(object_id), self.probability_of(object_id))
@@ -98,6 +103,8 @@ class ObjectCatalog:
     def total_size_mb(self, object_ids: Optional[Sequence[int]] = None) -> float:
         if object_ids is None:
             return float(self._sizes.sum())
+        if len(object_ids) == 1:  # a one-element sum is the element
+            return self.size_of(object_ids[0])
         return float(self._sizes[np.asarray(object_ids, dtype=np.intp)].sum())
 
     def __len__(self) -> int:
@@ -112,3 +119,9 @@ class ObjectCatalog:
             f"<ObjectCatalog {len(self)} objects, {self._sizes.sum() / 1e6:.2f} TB, "
             f"mean {self._sizes.mean():.0f} MB>"
         )
+
+
+def _shared_buffer(values: np.ndarray):
+    """An ``array('d')`` copy of ``values`` and a NumPy view of the same memory."""
+    buf = array("d", np.ascontiguousarray(values, dtype=np.float64).tobytes())
+    return buf, np.frombuffer(buf, dtype=np.float64)

@@ -252,8 +252,9 @@ def evaluate_point(point: PointSpec, seed: int):
             num_samples=point.num_samples,
             seed=seed,
             warmup=point.warmup,
-            # fail_drives must survive into evaluation: reset() would remount.
-            reset=not point.failed_drives,
+            # The session was just placed and applied, so a reset would only
+            # apply the placement again (and would remount failed drives).
+            reset=False,
         )
     if point.kind == "open":
         # Sharding is execution configuration, never point identity: the

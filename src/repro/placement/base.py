@@ -116,20 +116,26 @@ class PlacementResult:
     ) -> None:
         """Exactly-once object accounting (the paper's non-redundant model)."""
         for object_id, entries in fragments.items():
-            parts = entries[0][1].parts
-            if any(e.parts != parts for _, e in entries):
-                raise PlacementError(
-                    f"object {object_id}: inconsistent fragment counts"
-                )
-            if len(entries) != parts:
-                raise PlacementError(
-                    f"object {object_id}: {len(entries)} of {parts} fragments placed"
-                )
-            if sorted(e.part for _, e in entries) != list(range(parts)):
-                raise PlacementError(
-                    f"object {object_id}: duplicate or missing fragment parts"
-                )
-            total = sum(e.size_mb for _, e in entries)
+            first = entries[0][1]
+            if len(entries) == 1 and first.parts == 1:
+                # One whole extent (``ObjectExtent`` holds part < parts):
+                # every fragment check below passes, so only size is left.
+                total = first.size_mb
+            else:
+                parts = first.parts
+                if any(e.parts != parts for _, e in entries):
+                    raise PlacementError(
+                        f"object {object_id}: inconsistent fragment counts"
+                    )
+                if len(entries) != parts:
+                    raise PlacementError(
+                        f"object {object_id}: {len(entries)} of {parts} fragments placed"
+                    )
+                if sorted(e.part for _, e in entries) != list(range(parts)):
+                    raise PlacementError(
+                        f"object {object_id}: duplicate or missing fragment parts"
+                    )
+                total = sum(e.size_mb for _, e in entries)
             if abs(total - catalog.size_of(object_id)) > 1e-6:
                 raise PlacementError(
                     f"object {object_id} placed with total size {total}, "

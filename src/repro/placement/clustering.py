@@ -18,7 +18,7 @@ constraint of Step 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,20 +115,25 @@ class Clustering:
 
 
 class _UnionFind:
-    """Union-find tracking member count and total size per component."""
+    """Union-find tracking member count and total size per component.
 
-    def __init__(self, sizes_mb: np.ndarray) -> None:
-        n = len(sizes_mb)
-        self.parent = np.arange(n, dtype=np.int64)
-        self.count = np.ones(n, dtype=np.int64)
-        self.size_mb = sizes_mb.astype(np.float64).copy()
+    Plain Python lists: ``find`` runs once per union attempt and per object,
+    and list indexing avoids a NumPy scalar round-trip on every step.
+    """
+
+    def __init__(self, sizes_mb: Sequence[float]) -> None:
+        self.size_mb: List[float] = np.asarray(sizes_mb, dtype=np.float64).tolist()
+        n = len(self.size_mb)
+        self.parent = list(range(n))
+        self.count = [1] * n
 
     def find(self, x: int) -> int:
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:  # path compression
+            parent[x], x = root, parent[x]
         return root
 
     def try_union(
@@ -193,27 +198,28 @@ def cluster_objects(
     catalog = workload.catalog
     n = len(catalog)
 
-    shared: Optional[np.ndarray] = None
+    shared: Optional[List[bool]] = None
     if detach_shared and method == "requests":
         counts = np.zeros(n, dtype=np.int64)
         for request in workload.requests:
             counts[list(request.object_ids)] += 1
-        shared = counts >= 2
+        shared = (counts >= 2).tolist()
 
-    uf = _UnionFind(np.asarray(catalog.sizes_mb))
+    uf = _UnionFind(catalog.sizes_mb)
     if method == "pairs":
         pairs, weights = similarity_edges(workload.requests, n)
         if len(pairs):
             keep = weights >= threshold if threshold > 0 else slice(None)
             pairs, weights = pairs[keep], weights[keep]
             order = np.argsort(-weights, kind="stable")
-            for e in order:
-                uf.try_union(int(pairs[e, 0]), int(pairs[e, 1]), max_objects, max_size_mb)
+            for a, b in pairs[order].tolist():
+                uf.try_union(a, b, max_objects, max_size_mb)
     elif method == "requests":
         requests = workload.requests
         probs = requests.probabilities
-        for ri in np.argsort(-probs, kind="stable"):
-            request, p = requests[int(ri)], probs[ri]
+        order = np.argsort(-probs, kind="stable")
+        for ri, p in zip(order.tolist(), probs[order].tolist()):
+            request = requests[ri]
             if p < threshold or len(request) < 2:
                 continue
             members = request.object_ids
@@ -233,17 +239,17 @@ def cluster_objects(
     roots = np.array([uf.find(i) for i in range(n)], dtype=np.int64)
     uniq_roots, labels = np.unique(roots, return_inverse=True)
     members: List[List[int]] = [[] for _ in uniq_roots]
-    for obj, label in enumerate(labels):
+    for obj, label in enumerate(labels.tolist()):
         members[label].append(obj)
 
+    # A one-element sum is the element; larger clusters keep NumPy's
+    # pairwise summation, whose order is part of the result bits.
     probs = np.asarray(catalog.probabilities)
     sizes = np.asarray(catalog.sizes_mb)
     clusters = [
-        Cluster(
-            objects=tuple(objs),
-            probability=float(probs[objs].sum()),
-            size_mb=float(sizes[objs].sum()),
-        )
+        Cluster((objs[0],), catalog.probability_of(objs[0]), catalog.size_of(objs[0]))
+        if len(objs) == 1
+        else Cluster(tuple(objs), float(probs[objs].sum()), float(sizes[objs].sum()))
         for objs in members
     ]
     return Clustering(clusters, labels)

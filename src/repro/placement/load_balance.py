@@ -25,8 +25,10 @@ Interpretation notes (documented in DESIGN.md §5):
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 from ..catalog import ObjectCatalog
@@ -99,18 +101,24 @@ def zigzag_assign(
         ndrv = len(bins)
     ndrv = max(1, min(ndrv, len(bins)))
 
-    # Window: the ndrv least-loaded tapes; within it, Figure-3's decreasing
-    # workload order.
-    window = sorted(bins, key=lambda b: b.workload)[:ndrv]
-    window.sort(key=lambda b: -b.workload)
+    # Window: the ndrv least-loaded tapes (``nsmallest`` is documented equal
+    # to ``sorted(...)[:ndrv]``, ties included); within it, Figure-3's
+    # decreasing workload order.
+    if ndrv == 1:
+        window = [min(bins, key=_workload)]
+    else:
+        window = heapq.nsmallest(ndrv, bins, key=_workload)
+        window.sort(key=lambda b: -b.workload)
 
     # "sort objects in C into increasing order based on load"
-    loads = {o: catalog.probability_of(o) * catalog.size_of(o) for o in object_ids}
-    ordered = sorted(object_ids, key=lambda o: (loads[o], o))
+    size_of, probability_of = catalog.size_of, catalog.probability_of
+    ordered = [(probability_of(o) * size_of(o), o) for o in object_ids]
+    if len(ordered) > 1:
+        ordered.sort()
 
     rejected: List[int] = []
     i, flag = 0, 0
-    for object_id in ordered:
+    for load, object_id in ordered:
         if flag == 0:
             i += 1
         else:
@@ -122,20 +130,30 @@ def zigzag_assign(
             flag = 0
             i += 1
         target = window[i]
-        size = catalog.size_of(object_id)
+        size = size_of(object_id)
         if not target.fits(size):
             # Deviate minimally: roomiest tape in the window, widening to
             # the whole batch only if the window is full (Step 3 guarantees
             # aggregate batch capacity, not per-tape capacity).
-            candidates = [b for b in window if b.fits(size)]
-            if not candidates:
-                candidates = [b for b in bins if b.fits(size)]
-            if not candidates:
+            target = _roomiest(window, size) or _roomiest(bins, size)
+            if target is None:
                 rejected.append(object_id)
                 continue
-            target = max(candidates, key=lambda b: b.free_mb)
-        target.add(object_id, size, loads[object_id])
+        target.add(object_id, size, load)
     return rejected
+
+
+_workload = attrgetter("workload")
+
+
+def _roomiest(bins: List[TapeBin], size_mb: float) -> Optional[TapeBin]:
+    """The first bin with the most free space among those that fit ``size_mb``."""
+    best, best_free = None, 0.0
+    for tape_bin in bins:
+        free = tape_bin.capacity_mb - tape_bin.used_mb
+        if size_mb <= free + 1e-9 and (best is None or free > best_free):
+            best, best_free = tape_bin, free
+    return best
 
 
 def round_robin_assign(

@@ -28,13 +28,14 @@ def organ_pipe_order(probabilities: Sequence[float]) -> List[int]:
     middle, so the final left-to-right probability profile rises then falls.
     Ties break by original index for determinism.
     """
-    probs = np.asarray(probabilities, dtype=np.float64)
-    if probs.ndim != 1:
+    array = np.asarray(probabilities, dtype=np.float64)
+    if array.ndim != 1:
         raise ValueError("probabilities must be one-dimensional")
-    n = len(probs)
-    if n == 0:
-        return []
+    n = len(array)
+    if n <= 1:
+        return list(range(n))
     # Hottest first; stable tie-break on original index.
+    probs = array.tolist()
     by_heat = sorted(range(n), key=lambda i: (-probs[i], i))
     left: List[int] = []
     right: List[int] = []
@@ -51,13 +52,13 @@ def organ_pipe_order(probabilities: Sequence[float]) -> List[int]:
 
 def organ_pipe_extents(object_ids: Sequence[int], catalog: ObjectCatalog) -> List[ObjectExtent]:
     """Organ-pipe-align ``object_ids`` into contiguous extents from position 0."""
-    probs = [catalog.probability_of(o) for o in object_ids]
-    order = organ_pipe_order(probs)
+    probability_of, size_of = catalog.probability_of, catalog.size_of
+    order = organ_pipe_order([probability_of(o) for o in object_ids])
     extents: List[ObjectExtent] = []
     position = 0.0
     for idx in order:
         object_id = object_ids[idx]
-        size = catalog.size_of(object_id)
+        size = size_of(object_id)
         extents.append(ObjectExtent(object_id, position, size))
         position += size
     return extents
@@ -75,17 +76,17 @@ def clustered_organ_pipe_extents(
     cluster-structured tapes it additionally guarantees that co-requested
     objects are read as one contiguous run (minimal intra-request seek).
     """
-    group_probs = [
-        sum(catalog.probability_of(o) for o in group) for group in groups
-    ]
+    probability_of, size_of = catalog.probability_of, catalog.size_of
+    group_probs = [sum(probability_of(o) for o in group) for group in groups]
     extents: List[ObjectExtent] = []
     position = 0.0
     for gi in organ_pipe_order(group_probs):
         members = list(groups[gi])
-        member_probs = [catalog.probability_of(o) for o in members]
-        for mi in organ_pipe_order(member_probs):
-            object_id = members[mi]
-            size = catalog.size_of(object_id)
+        if len(members) > 1:
+            order = organ_pipe_order([probability_of(o) for o in members])
+            members = [members[mi] for mi in order]
+        for object_id in members:
+            size = size_of(object_id)
             extents.append(ObjectExtent(object_id, position, size))
             position += size
     return extents
@@ -95,8 +96,9 @@ def sequential_extents(object_ids: Sequence[int], catalog: ObjectCatalog) -> Lis
     """FIFO alignment (no organ pipe) — the ablation baseline."""
     extents: List[ObjectExtent] = []
     position = 0.0
+    size_of = catalog.size_of
     for object_id in object_ids:
-        size = catalog.size_of(object_id)
+        size = size_of(object_id)
         extents.append(ObjectExtent(object_id, position, size))
         position += size
     return extents

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence
 from ..hardware import DriveId, SystemSpec, TapeId
 from ..workload import Workload
 from .base import PlacementError, PlacementResult, PlacementScheme
-from .clustering import Clustering, cluster_objects
+from .clustering import cluster_objects
 from .load_balance import TapeBin, choose_ndrv, round_robin_assign, zigzag_assign
 from .organ_pipe import (
     clustered_organ_pipe_extents,
@@ -145,6 +145,8 @@ class ParallelBatchPlacement(PlacementScheme):
                 sublists, clustering, catalog, first_capacity, rest_capacity
             )
 
+        labels = clustering.labels.tolist()
+
         # Batch -> tape ids ------------------------------------------------
         all_batches = self._batch_tapes(spec)
         if len(sublists) > len(all_batches):
@@ -180,9 +182,7 @@ class ParallelBatchPlacement(PlacementScheme):
                 break
             sublist = sublists[b] if b < len(sublists) else []
             bins = [TapeBin(tid, tape_capacity) for tid in all_batches[b]]
-            pending = [[o] for o in overflow] + self._clusters_in_sublist(
-                sublist, clustering
-            )
+            pending = [[o] for o in overflow] + self._clusters_in_sublist(sublist, labels)
             overflow = []
             for cluster_members in pending:
                 size = catalog.total_size_mb(cluster_members)
@@ -210,7 +210,7 @@ class ParallelBatchPlacement(PlacementScheme):
             if self.alignment == "clustered":
                 groups: Dict[int, List[int]] = {}
                 for object_id in tape_bin.object_ids:
-                    groups.setdefault(clustering.cluster_of(object_id), []).append(object_id)
+                    groups.setdefault(labels[object_id], []).append(object_id)
                 layouts[tid] = clustered_organ_pipe_extents(list(groups.values()), catalog)
             elif self.alignment == "object":
                 layouts[tid] = organ_pipe_extents(tape_bin.object_ids, catalog)
@@ -277,12 +277,10 @@ class ParallelBatchPlacement(PlacementScheme):
         return batches
 
     @staticmethod
-    def _clusters_in_sublist(
-        sublist: Sequence[int], clustering: Clustering
-    ) -> List[List[int]]:
-        """Group a sublist's objects by cluster, in first-appearance
+    def _clusters_in_sublist(sublist: Sequence[int], labels: List[int]) -> List[List[int]]:
+        """Group a sublist's objects by cluster label, in first-appearance
         (density) order; after refinement most clusters are whole here."""
         groups: Dict[int, List[int]] = {}
         for object_id in sublist:
-            groups.setdefault(clustering.cluster_of(object_id), []).append(object_id)
+            groups.setdefault(labels[object_id], []).append(object_id)
         return list(groups.values())

@@ -49,14 +49,15 @@ def partition_sublists(
     sublists: List[List[int]] = [[]]
     remaining = [first_capacity_mb]
 
-    for object_id in order:
-        size = catalog.size_of(int(object_id))
+    size_of = catalog.size_of
+    for object_id in np.asarray(order).tolist():
+        size = size_of(object_id)
         placed = False
         # The paper appends in order; a too-large object spills to the next
         # sublist.  Scanning earlier sublists (first-fit) would break the
         # probability skew, so only the tail sublist (and new ones) are used.
         if size <= remaining[-1] + 1e-9:
-            sublists[-1].append(int(object_id))
+            sublists[-1].append(object_id)
             remaining[-1] -= size
             placed = True
         else:
@@ -65,7 +66,7 @@ def partition_sublists(
                     f"object {object_id} ({size:.0f} MB) exceeds the switch-batch "
                     f"capacity ({rest_capacity_mb:.0f} MB)"
                 )
-            sublists.append([int(object_id)])
+            sublists.append([object_id])
             remaining.append(rest_capacity_mb - size)
             placed = True
         assert placed
@@ -102,9 +103,10 @@ def refine_sublists(
     # Clusters in decreasing aggregate-density order; members keep their
     # original (density) order within the cluster.
     position = {object_id: i for i, object_id in enumerate(order)}
+    labels = clustering.labels.tolist()
     members_by_cluster: dict = {}
     for object_id in order:
-        members_by_cluster.setdefault(clustering.cluster_of(object_id), []).append(object_id)
+        members_by_cluster.setdefault(labels[object_id], []).append(object_id)
     cluster_order = sorted(
         members_by_cluster,
         key=lambda c: (
@@ -117,7 +119,8 @@ def refine_sublists(
     remaining = [first_capacity_mb]
     for c in cluster_order:
         members = members_by_cluster[c]
-        size = float(sizes[members].sum())
+        # Multi-member sums stay NumPy's: its pairwise order is in the bits.
+        size = catalog.size_of(members[0]) if len(members) == 1 else float(sizes[members].sum())
         placed = False
         for s in range(len(refined)):
             if size <= remaining[s] + 1e-9:

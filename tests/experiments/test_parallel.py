@@ -26,7 +26,9 @@ from repro.experiments.parallel import (
 )
 from repro.hardware import LibrarySpec, SystemSpec, TapeSpec
 from repro.obs import MetricsRegistry
-from repro.workload import WorkloadParams
+from repro.placement import make_scheme
+from repro.sim import SimulationSession
+from repro.workload import WorkloadParams, generate_workload
 
 #: Tiny-but-structured sweep inputs: three schemes, two axis cells, small
 #: enough that a full sweep runs in well under a second.
@@ -147,6 +149,20 @@ class TestDeterminism:
         direct = evaluate_point(point, seed)
         engine = res.results[0].result
         assert direct.avg_bandwidth_mb_s == engine.avg_bandwidth_mb_s
+
+    @pytest.mark.parametrize("point", tiny_sweep().points, ids=lambda p: f"{p.scheme}-{p.alpha}")
+    def test_fresh_session_needs_no_reset(self, point):
+        # evaluate_point serves a just-built session without reset(): the
+        # constructor's apply_to already left the freshly placed state.
+        workload = generate_workload(point.workload).with_zipf_alpha(point.alpha)
+        results = [
+            SimulationSession(
+                workload, point.spec, scheme=make_scheme(point.scheme, **dict(point.scheme_kwargs))
+            ).evaluate(num_samples=point.num_samples, seed=3, reset=reset)
+            for reset in (True, False)
+        ]
+        assert results[0] == results[1]
+        assert len(results[0].samples) == point.num_samples
 
 
 class TestCacheBehavior:
