@@ -205,8 +205,10 @@ class LocationIndex:
         """
         groups: Dict[TapeId, List[ObjectExtent]] = defaultdict(list)
         if not self._redundant:
+            locations = self._locations
             for object_id in object_ids:
-                for tape_id, extent in self._entries(object_id):
+                # ``_entries`` only runs to raise the "not placed" KeyError.
+                for tape_id, extent in locations.get(object_id) or self._entries(object_id):
                     groups[tape_id].append(extent)
             return dict(groups)
         for object_id in object_ids:

@@ -64,7 +64,10 @@ class TapeDrive:
         """Insert ``tape``; the head starts at the beginning of tape."""
         if self.mounted is not None:
             raise RuntimeError(f"drive {self.id} already holds {self.mounted.id}")
+        if tape.holder is not None:
+            raise RuntimeError(f"tape {tape.id} is already in drive {tape.holder}")
         self.mounted = tape
+        tape.holder = self.id
         self.mount_serial = next(_MOUNT_SERIAL)
         tape.head_mb = 0.0
 
@@ -73,6 +76,7 @@ class TapeDrive:
         if self.mounted is None:
             raise RuntimeError(f"drive {self.id} is empty")
         tape, self.mounted = self.mounted, None
+        tape.holder = None
         tape.head_mb = 0.0
         return tape
 

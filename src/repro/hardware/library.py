@@ -43,10 +43,10 @@ class TapeLibrary:
         return {d.mounted.id: d for d in self.drives if d.mounted is not None}
 
     def drive_holding(self, tape_id: TapeId) -> Optional[TapeDrive]:
-        for drive in self.drives:
-            if drive.mounted is not None and drive.mounted.id == tape_id:
-                return drive
-        return None
+        """The drive holding this library's tape ``tape_id`` now, or None."""
+        tape = self.tapes.get(tape_id)
+        holder = None if tape is None else tape.holder
+        return None if holder is None else self.drives[holder.index]
 
     def empty_drives(self) -> List[TapeDrive]:
         return [d for d in self.drives if d.is_empty]

@@ -120,6 +120,9 @@ class Tape:
         self._by_object: Dict[int, ObjectExtent] = {}
         #: Current head position in MB (meaningful while mounted).
         self.head_mb: float = 0.0
+        #: Id of the drive holding this cartridge (``TapeDrive.mount`` sets it,
+        #: ``unmount`` clears it); an id, so a tape and its drive form no cycle.
+        self.holder = None
         #: Whole-cartridge media loss: every extent is unreadable.  Set by
         #: the fault layer (``TapeFailure`` / ``TapeWearProcess``); the
         #: layout is kept as-is so the repair manager can enumerate what

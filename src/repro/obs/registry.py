@@ -69,18 +69,20 @@ class Gauge:
         self._since: Optional[float] = None
         self._t0: Optional[float] = None
 
-    def _settle(self, now: float) -> None:
-        if self._since is not None:
-            self._integral += self.value * (now - self._since)
+    def set(self, value: float, now: float) -> None:
+        # Every dispatch round sets a gauge: the settle step is inlined, and
+        # the extremes keep the first of equal values, as min()/max() do.
+        since = self._since
+        if since is not None:
+            self._integral += self.value * (now - since)
         else:
             self._t0 = now
         self._since = now
-
-    def set(self, value: float, now: float) -> None:
-        self._settle(now)
         self.value = float(value)
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     def add(self, delta: float, now: float) -> None:
         self.set(self.value + delta, now)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import dataclass, field, replace as _dc_replace
+from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -265,6 +266,7 @@ class SerialFCFSPolicy:
 
 #: "Not computed yet" marker for per-call lazily chosen values.
 _UNSET = object()
+_START_MB = attrgetter("start_mb")
 
 
 @dataclass(eq=False)
@@ -337,7 +339,7 @@ class ConcurrentPolicy:
         by_library: Dict[int, List[TapeJob]] = {}
         for tape_id, extents in tape_extents.items():
             by_library.setdefault(tape_id.library, []).append(
-                TapeJob(tape_id, sorted(extents, key=lambda e: e.start_mb))
+                TapeJob(tape_id, sorted(extents, key=_START_MB))
             )
         shard = os.shard_filter
         for library_id in sorted(by_library):
@@ -645,6 +647,9 @@ class _LibraryDispatcher:
             f"dispatch.L{library.id}.pending", unit="jobs"
         )
         self.pending: Deque[_DispatchedJob] = deque()
+        #: Tape -> number of its jobs in ``pending``: a multiset kept in step
+        #: by :meth:`_enqueue`, :meth:`_dequeue` and :meth:`_abort_unservable`.
+        self.pending_tapes: Dict[TapeId, int] = {}
         #: Drive index -> job handed over but not yet picked up.
         self.inbox: Dict[int, _DispatchedJob] = {}
         #: Drive indices currently assigned/working (inbox or serving).
@@ -700,8 +705,6 @@ class _LibraryDispatcher:
         #: (after the run's ``session.reset()`` has pinned drives) and
         #: dropped whenever ``workers`` changes.
         self._live: Optional[Tuple[List[TapeDrive], bool]] = None
-        #: The current round's protected tape set, built on first use.
-        self._protected: Optional[Set[TapeId]] = None
 
     # -- admission ------------------------------------------------------
     def submit(self, djob: _DispatchedJob) -> None:
@@ -713,14 +716,28 @@ class _LibraryDispatcher:
             self._close_job_span(djob, drive_name="", aborted=True)
             djob.done.succeed()
             return
-        self.pending.append(djob)
-        if djob.repair:
-            self._repair_pending += 1
+        self._enqueue(djob)
         self._dispatch()
         if not self.workers:
             # No live drive at submit time: abort now unless a committed
             # repair will resurrect one (the job then waits for it).
             self._abort_unservable()
+
+    def _enqueue(self, djob: _DispatchedJob, front: bool = False) -> None:
+        (self.pending.appendleft if front else self.pending.append)(djob)
+        tape_id = djob.job.tape_id
+        self.pending_tapes[tape_id] = self.pending_tapes.get(tape_id, 0) + 1
+        if djob.repair:
+            self._repair_pending += 1
+
+    def _dequeue(self, djob: _DispatchedJob) -> None:
+        self.pending.remove(djob)
+        tape_id = djob.job.tape_id
+        left = self.pending_tapes.pop(tape_id) - 1
+        if left:
+            self.pending_tapes[tape_id] = left
+        if djob.repair:
+            self._repair_pending -= 1
 
     def configure_repair(
         self, policy: str, share: float, burst_s: float
@@ -740,8 +757,8 @@ class _LibraryDispatcher:
             return sorted(self.pending, key=lambda dj: not dj.repair)
         return list(self.pending)  # fair-share keeps FIFO order
 
-    def _admit_repair(self, djob: _DispatchedJob) -> Optional[float]:
-        """Token cost (drive-seconds) to run this repair job now, or ``None``.
+    def _accrue_repair_tokens(self) -> bool:
+        """Bring the fair-share bucket up to now; False if admission is unmetered.
 
         Only ``fair-share`` meters admission; the bucket accrues
         ``share x live drives`` drive-seconds per second (capped at the
@@ -751,9 +768,9 @@ class _LibraryDispatcher:
         user work pending always has a future completion event to wake it).
         """
         if self.repair_policy != "fair-share":
-            return 0.0
+            return False
         if not any(not dj.repair for dj in self.pending):
-            return 0.0
+            return False
         now = self.env.now
         if now > self._repair_tokens_at:
             rate = self._repair_share * max(1, len(self.workers))
@@ -762,6 +779,12 @@ class _LibraryDispatcher:
                 self._repair_tokens + rate * (now - self._repair_tokens_at),
             )
             self._repair_tokens_at = now
+        return True
+
+    def _admit_repair(self, djob: _DispatchedJob) -> Optional[float]:
+        """Token cost (drive-seconds) to run this repair job now, or ``None``."""
+        if not self._accrue_repair_tokens():
+            return 0.0
         cost = estimate_job_time(djob.job, self.library, planner=self.seek_planner)
         if self._repair_tokens >= cost:
             return cost
@@ -771,24 +794,28 @@ class _LibraryDispatcher:
         if self.pending:
             live, degraded = self._live_pool()
             busy = self.busy
-            # With every live drive busy nothing can be assigned: the round
-            # ends before any per-round state is built.
-            if any(d.id.index not in busy for d in live):
-                # Mounted-cartridge index in drive order (mounts only change
-                # when a worker later resumes, never during a synchronous
-                # round), replacing a per-pending-job ``drive_holding`` scan
-                # with one dict lookup.  ``setdefault`` keeps the first-match
-                # semantics of the scan it replaces.
-                mounted = {}
-                for d in self.library.drives:
-                    tape = d.mounted
-                    if tape is not None:
-                        mounted.setdefault(tape.id, d)
-                # ``protected`` is built at the round's first displacement
-                # decision (see :meth:`_offline_drive`).
-                self._protected = None
-                while self.pending and self._try_assign(live, degraded, mounted):
-                    pass
+            idle = [d for d in live if d.id.index not in busy]
+            pending_tapes = self.pending_tapes
+            while idle and self.pending:
+                # Precheck: a job is admissible only on an idle drive holding
+                # its tape (committed tapes sit in busy drives) or on the
+                # offline drive, and repair tokens can only veto more.  With
+                # no idle drive's tape in the ``pending_tapes`` multiset and
+                # no offline drive, no scan of ``pending`` assigns anything.
+                offline = _UNSET
+                for d in idle:
+                    if d.mounted is not None and d.mounted.id in pending_tapes:
+                        break
+                else:
+                    offline = self._offline_drive(idle, degraded)
+                    if offline is None:
+                        if self._repair_pending:
+                            # The skipped scan would have accrued fair-share
+                            # tokens at its first repair job: accrue them now.
+                            self._accrue_repair_tokens()
+                        break
+                if not self._try_assign(idle, degraded, offline):
+                    break
         self.pending_gauge.set(len(self.pending), self.env.now)
         if self._restore_waiters:
             waiters, self._restore_waiters = self._restore_waiters, []
@@ -814,21 +841,22 @@ class _LibraryDispatcher:
 
         An idle empty switch drive first (the lowest index), otherwise the
         replacement-policy minimum among idle drives whose mounted tape is
-        not ``protected``: the tapes of pending jobs plus committed tapes.
-        Nothing here depends on which job asks, and ``protected`` is
-        invariant during a round because an assigned job's tape moves from
-        the pending side of the union to the committed side.
+        not protected: neither the tape of a pending job (``pending_tapes``)
+        nor a committed one.  Nothing here depends on which job asks, and
+        the protected set is invariant during a round because an assigned
+        job's tape moves from the pending side of the union to the
+        committed side.
         """
         candidates = [d for d in idle if degraded or not d.pinned]
         for d in candidates:
             if d.mounted is None:
                 return d
-        protected = self._protected
-        if protected is None:
-            protected = {dj.job.tape_id for dj in self.pending}
-            protected.update(self.committed)
-            self._protected = protected
-        displaceable = [d for d in candidates if d.mounted.id not in protected]
+        pending_tapes = self.pending_tapes
+        committed = self.committed
+        displaceable = [
+            d for d in candidates
+            if d.mounted.id not in pending_tapes and d.mounted.id not in committed
+        ]
         if not displaceable:
             return None
         return min(
@@ -836,18 +864,20 @@ class _LibraryDispatcher:
             key=lambda d: replacement_key(self.replacement_policy, d, self.tape_priority),
         )
 
-    def _try_assign(self, live, degraded, mounted) -> bool:
-        """Assign the first admissible pending job; True if one was placed."""
+    def _try_assign(self, idle: List[TapeDrive], degraded: bool, offline) -> bool:
+        """Assign the first admissible pending job; True if one was placed.
+
+        ``idle`` is the round's idle live drives, and the chosen one leaves
+        it; ``offline`` is :meth:`_offline_drive` of them, or ``_UNSET``
+        until a job needs it.
+        """
         busy = self.busy
-        idle = [d for d in live if d.id.index not in busy]
-        if not idle:
-            return False
+        tapes = self.library.tapes
         committed = self.committed
         workers = self.workers
         pending = (
             self._repair_order() if self._repair_pending else self.pending
         )
-        offline = _UNSET
         for djob in pending:
             repair_cost = 0.0
             if djob.repair:
@@ -858,9 +888,9 @@ class _LibraryDispatcher:
             tape_id = djob.job.tape_id
             holder_idx = committed.get(tape_id)
             if holder_idx is None:
-                holder = mounted.get(tape_id)
-                if holder is not None and holder.id.index in workers:
-                    holder_idx = holder.id.index
+                holder = tapes[tape_id].holder
+                if holder is not None and holder.index in workers:
+                    holder_idx = holder.index
             if holder_idx is not None:
                 if holder_idx in busy:
                     continue  # the cartridge lives in a busy drive: wait for it
@@ -871,11 +901,10 @@ class _LibraryDispatcher:
                 if offline is None:
                     continue
                 chosen = offline
-            self.pending.remove(djob)
-            if djob.repair:
-                self._repair_pending -= 1
+            self._dequeue(djob)
             if repair_cost:
                 self._repair_tokens -= repair_cost
+            idle.remove(chosen)
             self._assign(djob, chosen)
             return True
         return False
@@ -900,9 +929,7 @@ class _LibraryDispatcher:
         """
         doomed = [dj for dj in self.pending if dj.job.tape_id == tape_id]
         for djob in doomed:
-            self.pending.remove(djob)
-            if djob.repair:
-                self._repair_pending -= 1
+            self._dequeue(djob)
         for idx in [
             i for i, dj in self.inbox.items() if dj.job.tape_id == tape_id
         ]:
@@ -1061,6 +1088,7 @@ class _LibraryDispatcher:
         doomed = list(self.inbox.values()) + list(self.pending)
         self.inbox.clear()
         self.pending.clear()
+        self.pending_tapes.clear()
         self._repair_pending = 0
         for djob in doomed:
             self.committed.pop(djob.job.tape_id, None)
@@ -1176,9 +1204,7 @@ class _LibraryDispatcher:
                     # drive's stages stay in the same causal subtree and the
                     # span still closes exactly once — when the job lands.
                     orphan.job = orphan.job.split_remaining()
-                    self.pending.appendleft(orphan)
-                    if orphan.repair:
-                        self._repair_pending += 1
+                    self._enqueue(orphan, front=True)
             self._dispatch()
             # If this was the library's last drive and no repair is
             # committed, the queue can never drain: fail it now.

@@ -121,7 +121,12 @@ def estimate_job_time(
     head_mb: float = 0.0,
     planner: Optional[SeekPlanner] = None,
 ) -> float:
-    """Service-time estimate used only for LPT ordering (seek + transfer).
+    """Service-time estimate (seek + transfer) of one tape job.
+
+    It orders jobs longest-first (LPT), here and in the open-system
+    fan-out; the open-system dispatcher also spends it as a repair job's
+    fair-share token cost, and ``read_selection="cheapest"`` ranks
+    redundant members by it.
 
     The seek part is priced by the same planner the engine will execute
     with, against the ``TapeSpec`` of the drive actually holding the job's

@@ -21,11 +21,14 @@ simulator's cost model.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Sequence, Tuple
 
 from ..hardware import ObjectExtent, TapeSpec
 
 __all__ = ["locate_cost", "sweep_cost", "plan_retrieval"]
+
+_START_MB = attrgetter("start_mb")
 
 
 def locate_cost(
@@ -73,9 +76,9 @@ def plan_retrieval(
     """
     if not extents:
         return [], 0.0
-    asc = sorted(extents, key=lambda e: e.start_mb)
+    asc = sorted(extents, key=_START_MB)
     up = locate_cost(asc, head_mb, spec)
-    desc = sorted(extents, key=lambda e: e.start_mb, reverse=True)
+    desc = sorted(extents, key=_START_MB, reverse=True)
     down = locate_cost(desc, head_mb, spec)
     if up <= down:
         return asc, up

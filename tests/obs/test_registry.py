@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from repro.des import Environment
 from repro.obs import MetricsRegistry
@@ -46,6 +48,59 @@ class TestGauge:
 
     def test_mean_without_observations_is_nan(self):
         assert math.isnan(Gauge("g").time_weighted_mean(5.0))
+
+    def test_equal_values_keep_the_first_extremes(self):
+        g = Gauge("depth")
+        g.set(3, now=0.0)
+        g.set(3.0, now=1.0)
+        assert type(g.min) is int and type(g.max) is int
+        g.set(5, now=2.0)
+        g.set(5.0, now=3.0)
+        g.set(1, now=4.0)
+        g.set(1.0, now=5.0)
+        assert type(g.max) is int and type(g.min) is int
+
+    def test_zero_duration_sets_leave_the_integral_unchanged(self):
+        g = Gauge("depth")
+        g.set(0.1, now=0.0)
+        g.set(0.7, now=0.3)
+        before = g._integral
+        for value in (2.0, -4.5, 0.0, 3.25):
+            g.set(value, now=0.3)
+        assert g._integral.hex() == before.hex()
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=-1e6, max_value=1e6),
+                st.floats(min_value=0.0, max_value=1e4),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        tail=st.floats(min_value=0.0, max_value=1e4),
+    )
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_time_weighted_mean_matches_the_settle_formula(self, steps, tail):
+        # The pre-inlining ``set``: settle, then builtin ``min``/``max``.
+        value, integral, since, t0, lo, hi = 0.0, 0.0, None, None, None, None
+        g = Gauge("depth")
+        now = 0.0
+        for new, dt in steps:
+            now += dt
+            g.set(new, now)
+            if since is not None:
+                integral += value * (now - since)
+            else:
+                t0 = now
+            since = now
+            value = float(new)
+            lo = new if lo is None else min(lo, new)
+            hi = new if hi is None else max(hi, new)
+        assert (g.value, g.min, g.max, g._integral, g._t0) == (value, lo, hi, integral, t0)
+        end = now + tail
+        expected = value if end - t0 <= 0 else (integral + value * (end - since)) / (end - t0)
+        assert g.time_weighted_mean(end) == expected
 
 
 class TestTimeWeightedHistogram:
