@@ -57,6 +57,9 @@ class LocationIndex:
     def __init__(self) -> None:
         self._locations: Dict[int, List[Tuple[TapeId, ObjectExtent]]] = {}
         self._redundant = False
+        #: Bumped by every :meth:`add` and :meth:`remove_member`: a caller
+        #: that memoizes lookups keeps them while the generation holds.
+        self.generation = 0
 
     @classmethod
     def from_system(cls, system: TapeSystem) -> "LocationIndex":
@@ -89,6 +92,7 @@ class LocationIndex:
             self._locations[object_id] = [(tape_id, extent)]
             if extent.replicas > 1:
                 self._redundant = True
+            self.generation += 1
             return
         if entries:
             first = entries[0][1]
@@ -125,6 +129,7 @@ class LocationIndex:
         if extent.replicas > 1:
             self._redundant = True
         entries.append((tape_id, extent))
+        self.generation += 1
 
     def remove_member(
         self, object_id: int, tape_id: TapeId, part: int, replica: int
@@ -140,6 +145,7 @@ class LocationIndex:
         for i, (tid, extent) in enumerate(entries):
             if tid == tape_id and extent.part == part and extent.replica == replica:
                 del entries[i]
+                self.generation += 1
                 return extent
         raise KeyError(
             f"object {object_id} part {part} replica {replica} "

@@ -389,10 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Serves a Poisson arrival stream (like `open`) with the Python "
             "profiler attached to the simulation run only (placement and "
-            "session construction are excluded), then prints events/sec and "
-            "the top functions by the chosen sort key.  This is the harness "
-            "behind docs/performance.md: use it before and after touching "
-            "the DES kernel or engine hot paths."
+            "session construction are excluded), then prints events/sec, "
+            "requests/sec, events/request and simulated hours per wall "
+            "second, and the top functions by the chosen sort key.  This is "
+            "the harness behind docs/performance.md: use it before and after "
+            "touching the DES kernel or engine hot paths."
         ),
     )
     pf.add_argument(
@@ -1121,14 +1122,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     wall = perf_counter() - start
 
     events = opensys.env.events_processed
+    served = len(result)
     print(f"policy:            {result.policy}")
     print(f"scheme:            {result.scheme}")
     print(f"seek planner:      {opensys.seek_planner.name}")
-    print(f"arrivals served:   {len(result):10d}")
+    print(f"arrivals served:   {served:10d}")
     print(f"horizon:           {result.horizon_s:10.1f} s")
     print(f"wall time:         {wall:10.3f} s")
     print(f"events processed:  {events:10d}")
     print(f"events/sec:        {events / wall:10,.0f}")
+    # Unlike events/sec, these stay comparable when a change makes each
+    # event cover more work (fewer, coarser events per request).
+    print(f"requests/sec:      {served / wall:10,.1f}")
+    print(f"events/request:    {events / served:10.1f}")
+    print(f"sim hours/wall s:  {result.horizon_s / 3600.0 / wall:10,.1f}")
     print(f"spans recorded:    {len(result.spans()):10d}")
     print()
 

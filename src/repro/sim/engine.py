@@ -396,14 +396,23 @@ def _serve_job(
 ):
     """Read all of a job's extents in the planner's chosen order.
 
+    The order is the job's ``bot_plan`` when that plan still applies: the
+    job is untouched, the head is at 0 and the drive uses the planner and
+    the ``TapeSpec`` it was priced with (see
+    :class:`~repro.sim.scheduling.TapeJob`); otherwise the planner plans
+    the remaining extents from the current head position.
+
     Without a disk-stage cap a job's timeline is fixed once it is planned
     on the mounted tape, so the whole job is one kernel event: a timeout
     at its absolute end, summed with the same left-to-right float
     additions a chain of per-extent seek/transfer timeouts would make
-    (every ``env.now`` is bit-identical).  The drive record is folded in
+    (every ``env.now`` is bit-identical).  Each seek and transfer is
+    computed inline with the expressions of ``TapeSpec.locate_time`` and
+    ``DriveSpec.transfer_time``, and the head is moved to the last
+    extent's end once.  The drive record is folded in
     plan order and ``job.completed`` set when the job lands.  With a disk
     cap, admission happens per extent, so :func:`_read_disk_capped` runs
-    the per-extent loop instead.
+    the per-extent loop (``drive.read_extent``) instead.
 
     An :class:`Interrupt` (drive failure) at ``now`` bisects the prefix
     end times: an extent counts as read only if it ended strictly before
@@ -427,28 +436,48 @@ def _serve_job(
     assert tape is not None and tape.id == job.tape_id, "job routed to wrong drive"
     if planner is None:
         planner = resolve_seek_planner(None)
-    ordered, _ = planner.plan(job.remaining_extents, tape.head_mb, drive.tape_spec)
+    tape_spec = drive.tape_spec
+    head = tape.head_mb
+    bot_plan = job.bot_plan
+    if (
+        bot_plan is not None
+        and head == 0.0
+        and job.completed == 0
+        and bot_plan[0] is planner
+        and bot_plan[1] is tape_spec
+    ):
+        ordered = bot_plan[2]
+    else:
+        ordered, _ = planner.plan(job.remaining_extents, head, tape_spec)
     job.begin(ordered)
     if disk is not None:
         yield from _read_disk_capped(env, drive, job, record, trace, disk, parent, request)
         return
     if not ordered:
         return
-    read = drive.read_extent
+    startup = tape_spec.locate_startup_s
+    locate_rate = tape_spec.locate_rate_mb_s
+    transfer_rate = drive.spec.transfer_rate_mb_s
     seeks: list = []
     transfers: list = []
     seek_ends: list = []
     ends: list = []
     started = t = env._now
     for extent in ordered:
-        seek, transfer = read(extent)
-        if seek > 0:
+        distance = abs(extent.start_mb - head)
+        if distance == 0:
+            seek = 0.0
+        else:
+            seek = startup + distance / locate_rate
             t += seek
         seeks.append(seek)
         seek_ends.append(t)
+        transfer = extent.size_mb / transfer_rate
         t += transfer
         transfers.append(transfer)
         ends.append(t)
+        head = extent.end_mb
+    tape.head_mb = head
     end_event = env.timeout_at(t)
     try:
         yield end_event

@@ -208,6 +208,12 @@ class SerialFCFSPolicy:
         self.os = opensys
         self.lock = Resource(opensys.env, capacity=1)
 
+    def start_run(self) -> None:
+        """Nothing is carried from one run to the next."""
+
+    def end_run(self) -> None:
+        """Nothing is carried from one run to the next."""
+
     def serve(
         self,
         request: Request,
@@ -267,6 +273,8 @@ class SerialFCFSPolicy:
 #: "Not computed yet" marker for per-call lazily chosen values.
 _UNSET = object()
 _START_MB = attrgetter("start_mb")
+#: One library's share of a fan-out (see :meth:`ConcurrentPolicy._tape_rows`).
+_TapeRow = Tuple[int, Tuple[TapeId, ...], Tuple[tuple, ...], Tuple[Optional[tuple], ...]]
 
 
 @dataclass(eq=False)
@@ -323,47 +331,144 @@ class ConcurrentPolicy:
         #: serve: non-redundant runs keep their registry content (and its
         #: pinned digest) byte-identical to the pre-redundancy engine.
         self._red_inst: Optional[Dict[str, object]] = None
+        #: Fan-out memo: ``id(request)`` -> ``(request, rows, total_mb,
+        #: num_tapes)`` (see :meth:`_fanout`), valid for one index
+        #: generation of one index; ``None`` while memoizing is off.
+        self._fanouts: Optional[Dict[int, tuple]] = None
+        self._fanout_index = None
+        self._fanout_generation = -1
+
+    def start_run(self) -> None:
+        """Drop the fan-out memo and decide whether this run may keep one.
+
+        A request's rows are a pure function of the location index, the
+        shard filter and the planner, plus — through the LPT price — the
+        ``TapeSpec`` of any drive holding one of its tapes.  When every
+        drive uses its library's ``spec.tape`` the price cannot depend on
+        mount state, so the rows may be reused; otherwise every arrival is
+        priced afresh.
+        """
+        uniform = all(
+            drive.tape_spec is library.spec.tape
+            for library in self.os.system.libraries
+            for drive in library.drives
+        )
+        self._fanouts = {} if uniform else None
+        self._fanout_index = None
+
+    def end_run(self) -> None:
+        """Release the fan-out memo: it is rebuilt by the next run anyway."""
+        self._fanouts = None
+        self._fanout_index = None
+
+    def _fanout(self, request: Request) -> tuple:
+        """``(request, rows, total_mb, num_tapes)`` of a non-redundant request.
+
+        Computed on the first arrival of ``request`` and reused by later
+        ones until the index (or its generation) changes.
+        """
+        os = self.os
+        index = os.index
+        memo = self._fanouts
+        if memo is not None:
+            if (
+                index is not self._fanout_index
+                or index.generation != self._fanout_generation
+            ):
+                memo.clear()
+                self._fanout_index = index
+                self._fanout_generation = index.generation
+            entry = memo.get(id(request))
+            # The entry holds the request, so its id cannot be reused.
+            if entry is not None and entry[0] is request:
+                return entry
+        jobs = index.group_by_tape(request.object_ids)
+        total_mb = sum(e.size_mb for extents in jobs.values() for e in extents)
+        entry = (request, self._tape_rows(jobs), total_mb, len(jobs))
+        if memo is not None:
+            memo[id(request)] = entry
+        return entry
+
+    def _tape_rows(
+        self, tape_extents: Mapping[TapeId, List[ObjectExtent]]
+    ) -> List[_TapeRow]:
+        """One row ``(library id, tape ids, extents, BOT orders)`` per library.
+
+        Libraries ascend, and a row lists its tapes longest-processing-time
+        first, as in the closed-loop planner.  ``extents[i]`` holds tape
+        ``i``'s extents as a position-sorted tuple.  ``orders[i]`` is the
+        beginning-of-tape order that pricing planned with the run's planner
+        and the library's ``spec.tape``: the very tuple ``extents[i]`` when
+        the plan kept position order (the usual case from BOT), or ``None``
+        when the job was priced against another drive's spec.  Libraries
+        another shard owns are left out: their jobs run there, on an
+        identical clock fed by the identical arrival stream.
+        """
+        os = self.os
+        planner = os.seek_planner
+        by_library: Dict[int, List[TapeJob]] = {}
+        for tape_id, extents in tape_extents.items():
+            by_library.setdefault(tape_id.library, []).append(
+                TapeJob(tape_id, tuple(sorted(extents, key=_START_MB)))
+            )
+        shard = os.shard_filter
+        rows: List[_TapeRow] = []
+        for library_id in sorted(by_library):
+            if shard is not None and library_id not in shard:
+                continue
+            library = os.system.libraries[library_id]
+            tape_jobs = by_library[library_id]
+            tape_jobs.sort(
+                key=lambda job: (
+                    -estimate_job_time(job, library, planner=planner),
+                    job.tape_id,
+                )
+            )
+            orders = []
+            for job in tape_jobs:
+                _, spec, order = job.bot_plan
+                if spec is not library.spec.tape:
+                    orders.append(None)
+                else:
+                    order = tuple(order)
+                    orders.append(job.extents if order == job.extents else order)
+            rows.append((
+                library_id,
+                tuple(job.tape_id for job in tape_jobs),
+                tuple(job.extents for job in tape_jobs),
+                tuple(orders),
+            ))
+        return rows
 
     def _submit_tape_jobs(
         self,
-        tape_extents: Dict[TapeId, List[ObjectExtent]],
+        rows: List[_TapeRow],
         trace_key: int,
         parent: Optional[int],
         records: Dict[str, DriveServiceRecord],
         repair: bool = False,
     ) -> List[_DispatchedJob]:
-        """Fan per-tape extent lists out to the library dispatchers."""
+        """Submit one fresh job per tape of ``rows`` (see :meth:`_tape_rows`)."""
         os = self.os
         env = os.env
+        planner = os.seek_planner
+        reserve_id = os.trace.reserve_id
         djobs: List[_DispatchedJob] = []
-        by_library: Dict[int, List[TapeJob]] = {}
-        for tape_id, extents in tape_extents.items():
-            by_library.setdefault(tape_id.library, []).append(
-                TapeJob(tape_id, sorted(extents, key=_START_MB))
-            )
-        shard = os.shard_filter
-        for library_id in sorted(by_library):
-            if shard is not None and library_id not in shard:
-                # Another shard owns this library: its jobs run there, on an
-                # identical clock fed by the identical arrival stream.
-                continue
-            library = os.system.libraries[library_id]
-            tape_jobs = by_library[library_id]
-            # Longest-processing-time first, as in the closed-loop planner.
-            tape_jobs.sort(
-                key=lambda job: (
-                    -estimate_job_time(job, library, planner=os.seek_planner),
-                    job.tape_id,
+        for library_id, tape_ids, extents, orders in rows:
+            dispatcher = self.dispatchers[library_id]
+            spec = dispatcher.library.spec.tape
+            for tape_id, tape_extents, order in zip(tape_ids, extents, orders):
+                job = TapeJob(
+                    tape_id, tape_extents,
+                    bot_plan=None if order is None else (planner, spec, order),
                 )
-            )
-            for job in tape_jobs:
                 djob = _DispatchedJob(
-                    job=job, request_id=trace_key, records=records, done=env.event(),
-                    submitted_at=env.now, span_id=os.trace.reserve_id(),
-                    parent_id=parent, repair=repair,
+                    job=job, request_id=trace_key, records=records,
+                    done=env.event(), submitted_at=env.now,
+                    span_id=reserve_id(), parent_id=parent, repair=repair,
                 )
                 djobs.append(djob)
-                self.dispatchers[library_id].submit(djob)
+                dispatcher.submit(djob)
         return djobs
 
     def serve(
@@ -381,10 +486,9 @@ class ConcurrentPolicy:
             )
             return outcome
         trace_key = token if token is not None else request.id
-        jobs = os.index.group_by_tape(request.object_ids)
-        total_mb = sum(e.size_mb for extents in jobs.values() for e in extents)
+        _, rows, total_mb, num_tapes = self._fanout(request)
         records: Dict[str, DriveServiceRecord] = {}
-        djobs = self._submit_tape_jobs(jobs, trace_key, parent, records)
+        djobs = self._submit_tape_jobs(rows, trace_key, parent, records)
 
         yield env.all_of([dj.done for dj in djobs])
 
@@ -393,7 +497,7 @@ class ConcurrentPolicy:
             metrics = RequestMetrics.from_drive_records(
                 request_id=request.id,
                 size_mb=total_mb,
-                num_tapes=len(jobs),
+                num_tapes=num_tapes,
                 records=list(records.values()),
                 start_s=arrival_s,
                 aborted=aborted,
@@ -407,7 +511,7 @@ class ConcurrentPolicy:
                 response_s=env.now - arrival_s,
                 seek_s=0.0,
                 transfer_s=0.0,
-                num_tapes=len(jobs),
+                num_tapes=num_tapes,
                 num_switches=0,
                 num_drives=0,
                 aborted=True,
@@ -424,7 +528,7 @@ class ConcurrentPolicy:
                 request.id,
                 arrival_s,
                 total_mb,
-                len(jobs),
+                num_tapes,
                 list(records.values()),
                 min(starts) if starts else None,
                 env.now if djobs else None,
@@ -560,7 +664,9 @@ class ConcurrentPolicy:
             if rounds:
                 inst["retries"].inc()
             rounds += 1
-            djobs = self._submit_tape_jobs(tape_extents, trace_key, parent, records)
+            djobs = self._submit_tape_jobs(
+                self._tape_rows(tape_extents), trace_key, parent, records
+            )
             all_djobs.extend(djobs)
             submitted_tapes.update(tape_extents)
             yield env.all_of([dj.done for dj in djobs])
@@ -1489,6 +1595,7 @@ class OpenSystem:
                 self.session.reset()
             self._ran = True
             self._expected = num_arrivals
+            self.policy.start_run()
 
             rng = np.random.default_rng(seed)
             inter = rng.exponential(3600.0 / arrival_rate_per_hour, size=num_arrivals)
@@ -1517,6 +1624,7 @@ class OpenSystem:
                 self.injector.finalize()
             self.registry.snapshot(self.env.now)
         finally:
+            self.policy.end_run()
             if gc_was_enabled:
                 gc.enable()
         if len(outcomes) != num_arrivals:

@@ -257,7 +257,8 @@ class RepairManager:
                 for tape_id, extent in chosen:
                     tape_extents.setdefault(tape_id, []).append(extent)
                 djobs = policy._submit_tape_jobs(
-                    tape_extents, token, ctx.id, records, repair=True
+                    policy._tape_rows(tape_extents), token, ctx.id, records,
+                    repair=True,
                 )
                 yield env.all_of([dj.done for dj in djobs])
                 aborted = [dj for dj in djobs if dj.aborted]
@@ -296,7 +297,8 @@ class RepairManager:
                 )
                 inflight.add(target.id)
                 djobs = policy._submit_tape_jobs(
-                    {target.id: [extent]}, token, ctx.id, records, repair=True
+                    policy._tape_rows({target.id: [extent]}), token, ctx.id,
+                    records, repair=True,
                 )
                 yield env.all_of([dj.done for dj in djobs])
                 inflight.discard(target.id)

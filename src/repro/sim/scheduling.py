@@ -62,18 +62,30 @@ class TapeJob:
     reorders ``extents`` into sweep order when service begins and advances
     the index as each extent finishes, so an interrupting drive failure can
     see what is left in O(1) instead of scanning-and-removing per extent.
+
+    ``bot_plan`` carries the beginning-of-tape plan ``(planner, tape_spec,
+    order)`` that :func:`estimate_job_time` made when it priced the job
+    from head 0.  The engine serves in that order instead of planning
+    again when the job is untouched (``completed == 0``), the tape's head
+    is at 0 and the drive uses that planner and that very ``TapeSpec`` —
+    the case of every job served right after its tape was loaded.  A
+    :meth:`split_remaining` remainder is a new job and starts without one.
+    Neither ``extents`` nor a plan's order is ever mutated in place, so
+    the open system's fan-out memo shares one tuple among the jobs of
+    every arrival of a request.
     """
 
     tape_id: TapeId
-    extents: List[ObjectExtent]
+    extents: Sequence[ObjectExtent]
     completed: int = 0
+    bot_plan: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def bytes_mb(self) -> float:
         return sum(e.size_mb for e in self.extents)
 
     @property
-    def remaining_extents(self) -> List[ObjectExtent]:
+    def remaining_extents(self) -> Sequence[ObjectExtent]:
         """Extents not yet fully read (the in-flight one counts as unread)."""
         return self.extents[self.completed :]
 
@@ -81,7 +93,7 @@ class TapeJob:
     def is_done(self) -> bool:
         return self.completed >= len(self.extents)
 
-    def begin(self, ordered: List[ObjectExtent]) -> None:
+    def begin(self, ordered: Sequence[ObjectExtent]) -> None:
         """Install the sweep order chosen by the engine and reset progress."""
         self.extents = ordered
         self.completed = 0
@@ -132,11 +144,21 @@ def estimate_job_time(
     with, against the ``TapeSpec`` of the drive actually holding the job's
     tape when it is mounted (drives in a heterogeneous library may position
     at different rates); offline tapes fall back to the library's default
-    spec since their drive assignment is not yet known.
+    spec since their drive assignment is not yet known.  The head starts
+    at ``head_mb``, which every caller leaves at 0 (beginning of tape) —
+    even for a mounted tape whose head is elsewhere — so a job's price
+    does not depend on where an earlier job left the head.
+
+    A plan made from head 0 is recorded on the job as ``job.bot_plan``
+    (see :class:`TapeJob`), so the engine need not make it again when it
+    serves the job on a freshly loaded tape.
     """
     drive = library.drive_holding(job.tape_id)
     tape_spec = drive.tape_spec if drive is not None else library.spec.tape
-    _, seek = resolve_seek_planner(planner).plan(job.extents, head_mb, tape_spec)
+    planner = resolve_seek_planner(planner)
+    order, seek = planner.plan(job.extents, head_mb, tape_spec)
+    if head_mb == 0.0:
+        job.bot_plan = (planner, tape_spec, order)
     return seek + library.spec.drive.transfer_time(job.bytes_mb)
 
 

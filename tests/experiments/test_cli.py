@@ -72,6 +72,32 @@ class TestCommands:
         assert "response_s" in out
         assert "paired samples" in out
 
+    def test_profile_prints_throughput_per_request(self, capsys):
+        rc = main(
+            ["profile", "--policy", "concurrent", "--scale", "small",
+             "--arrivals", "40", "--top", "3"]
+        )
+        assert rc == 0
+        fields = {}
+        for line in capsys.readouterr().out.splitlines():
+            name, sep, value = line.partition(":")
+            if sep and value.split() and name in (
+                "arrivals served", "wall time", "horizon", "events processed",
+                "events/sec", "requests/sec", "events/request", "sim hours/wall s",
+            ):
+                fields[name] = float(value.split()[0].replace(",", ""))
+        assert len(fields) == 8, fields
+        served, wall = fields["arrivals served"], fields["wall time"]
+        assert served == 40
+        assert fields["events/request"] == pytest.approx(
+            fields["events processed"] / served, abs=0.05
+        )
+        # The printed wall time is rounded to the millisecond.
+        assert fields["requests/sec"] * wall == pytest.approx(served, rel=0.05)
+        assert fields["sim hours/wall s"] * wall == pytest.approx(
+            fields["horizon"] / 3600.0, rel=0.05
+        )
+
     def test_experiment_chart_flag(self, capsys):
         rc = main(
             ["experiment", "fig9", "--scale", "small", "--num-samples", "8", "--chart"]
