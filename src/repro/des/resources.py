@@ -115,6 +115,31 @@ class Resource:
         """Free the slot held by ``request``."""
         return ReleaseEvent(self, request)
 
+    def try_acquire(self) -> Optional[RequestEvent]:
+        """Take a free slot now, without a grant event; None if it must wait.
+
+        Succeeds only when a slot is free and nobody is queued, exactly when
+        :meth:`request` would grant at once; the monitor sees the same
+        ``on_grant``.  The returned request is already processed (no event
+        is scheduled, so the caller need not yield it) and releases like
+        any other: ``with resource.try_acquire() as grant: ...``.
+        """
+        if len(self.users) >= self._capacity or self.queue:
+            return None
+        env = self.env
+        request = RequestEvent.__new__(RequestEvent)
+        request.env = env
+        request.callbacks = None
+        request._value = None
+        request._ok = True
+        request._defused = False
+        request.resource = self
+        request.requested_at = env._now
+        self.users.append(request)
+        if self.monitor is not None:
+            self.monitor.on_grant(env._now)
+        return request
+
     # -- internals ------------------------------------------------------
     def _do_request(self, request: RequestEvent) -> None:
         if len(self.users) < self._capacity:

@@ -264,11 +264,13 @@ def evaluate_point(point: PointSpec, seed: int):
             policy=run_kwargs["policy"], shard_workers=resolve_shard_workers()
         )
         _wire_progress(opensys, point)
-        return opensys.run(
+        result = opensys.run(
             run_kwargs["rate_per_hour"],
             num_arrivals=run_kwargs["num_arrivals"],
             seed=seed,
         )
+        opensys.close()
+        return result
     if point.kind == "chaos":
         from ..sim import DriveFaultProcess, TapeFailure
 
@@ -302,11 +304,13 @@ def evaluate_point(point: PointSpec, seed: int):
             shard_workers=resolve_shard_workers(), **open_kwargs,
         )
         _wire_progress(opensys, point)
-        return opensys.run(
+        result = opensys.run(
             run_kwargs["rate_per_hour"],
             num_arrivals=run_kwargs["num_arrivals"],
             seed=seed,
         )
+        opensys.close()
+        return result
     if point.kind == "fcfs":
         from ..sim import simulate_fcfs_queue
 

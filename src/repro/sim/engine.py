@@ -641,6 +641,26 @@ def _read_disk_capped(env, drive, job, record, trace, disk, parent, request):
         job.advance()
 
 
+def _traced_stage(env, trace: Trace, name: str, delay: float, attrs: tuple, parent, request):
+    """One switch stage on the traced path: its own timeout and span.
+
+    The span id is claimed when the stage starts and the raw span tuple is
+    appended when it ends (``attrs`` is the flat key/value tuple); a stage
+    cut short by an interrupt closes at the interrupt, tagged ``aborted``.
+    """
+    sid = trace._next_id
+    trace._next_id = sid + 1
+    started = env._now
+    try:
+        yield env.timeout(delay)
+    except BaseException:
+        aborted = dict(zip(attrs[::2], attrs[1::2]))
+        aborted["aborted"] = True
+        trace._spans.append((name, started, env._now, aborted, sid, parent, request))
+        raise
+    trace._spans.append((name, started, env._now, attrs, sid, parent, request))
+
+
 def _switch_to(
     env,
     library: TapeLibrary,
@@ -651,180 +671,128 @@ def _switch_to(
     parent: Optional[int] = None,
     request: Optional[int] = None,
 ):
-    """Full tape switch: rewind, unload, robot exchange, load-and-thread."""
+    """Full tape switch: rewind, unload, robot exchange, load-and-thread.
+
+    The robot arm is held from the unload (for an empty drive, the fetch)
+    through the load.  Traced, every stage is its own timeout and span, as
+    is the arm's grant: each stage claims its span id when it starts.
+
+    Untraced, two events go.  A free arm with nobody queued for it is
+    taken without a grant event (:meth:`~repro.des.Resource.try_acquire`),
+    and the unload and the robot exchange are one timeout at the exchange
+    end, where the drive unmounts the old tape and mounts the new one, so
+    the dispatcher sees ``Tape.holder`` change at the same instant as with
+    a timeout per stage.  The load cannot fuse: at its start the tapes
+    change drives, which dispatch rounds observe.  An :class:`Interrupt`
+    moves the abandoned timeout to where the per-stage path's would fire:
+
+    * at or before the unload end, to the unload end: the unload counts as
+      finished only for an interrupt strictly after it ended (the strict
+      rule of :func:`_serve_job`);
+    * at the very instant the arm was taken without an event, to that
+      instant: the interrupt's cause was scheduled before the grant event
+      the per-stage path would have waited for, so that path had not
+      started a stage yet.
+
+    So every ``env.now`` and the instant the clock drains are the same
+    with and without tracing.
+    """
     new_tape = library.tape(tape_id)
     drive_name = str(drive.id)
     robot = library.robot
-
-    # Same guarded fast lane as ``_serve_job``: a full switch emits one
-    # parent span plus 3–4 leaf spans, all with fixed attributes, so each
-    # site claims its id inline and appends the raw field tuple directly
-    # (ids in the same order, timestamps and aborted-tagging identical to
-    # the ``SpanContext`` path it replaces).
+    arm = robot.resource
     tracing = trace.enabled
     if tracing:
-        span_append = trace._spans.append
         swid = trace._next_id
         trace._next_id = swid + 1
         sw_started = env._now
+        drive_attrs = ("drive", drive_name)
     else:
         swid = None
+    exchange = drive.mounted is not None
     try:
-        if drive.mounted is not None:
+        if exchange:
             rewind = drive.rewind_time()
             if rewind > 0:
                 if tracing:
-                    sid = trace._next_id
-                    trace._next_id = sid + 1
-                    started = env._now
-                    try:
-                        yield env.timeout(rewind)
-                    except BaseException:
-                        span_append((
-                            "rewind", started, env._now,
-                            {"drive": drive_name, "aborted": True},
-                            sid, swid, request,
-                        ))
-                        raise
-                    span_append((
-                        "rewind", started, env._now, ("drive", drive_name),
-                        sid, swid, request,
-                    ))
+                    yield from _traced_stage(
+                        env, trace, "rewind", rewind, drive_attrs, swid, request
+                    )
                 else:
                     yield env.timeout(rewind)
-
-            requested_at = env.now
-            with robot.resource.request() as grant:
+        requested_at = env._now
+        # Untraced, a free arm nobody queues for is taken without a grant
+        # event, at ``taken_at``.
+        grant = None if tracing else arm.try_acquire()
+        taken_at = None if grant is None else requested_at
+        if grant is None:
+            grant = arm.request()
+        with grant:
+            if taken_at is None:
                 yield grant
-                wait = env.now - requested_at
+                wait = env._now - requested_at
                 if wait > 0:
                     trace.record(
-                        "robot_wait", requested_at, env.now,
+                        "robot_wait", requested_at, env._now,
                         parent=swid, request=request, drive=drive_name,
                     )
                 record.robot_wait_s += wait
-                # The paper "models robotic arm mount/unmount operations as
-                # constant time values": the arm is held for the whole
-                # unload + return-to-cell + fetch + mount sequence.
-                if tracing:
-                    sid = trace._next_id
-                    trace._next_id = sid + 1
-                    started = env._now
-                    try:
-                        yield env.timeout(drive.unload_time)
-                    except BaseException:
-                        span_append((
-                            "unload", started, env._now,
-                            {"drive": drive_name, "aborted": True},
-                            sid, swid, request,
-                        ))
-                        raise
-                    span_append((
-                        "unload", started, env._now, ("drive", drive_name),
-                        sid, swid, request,
-                    ))
-                    sid = trace._next_id
-                    trace._next_id = sid + 1
-                    started = env._now
-                    try:
-                        yield env.timeout(robot.exchange_time)
-                    except BaseException:
-                        span_append((
-                            "robot_exchange", started, env._now,
-                            {"drive": drive_name, "aborted": True},
-                            sid, swid, request,
-                        ))
-                        raise
-                    span_append((
-                        "robot_exchange", started, env._now, ("drive", drive_name),
-                        sid, swid, request,
-                    ))
-                else:
-                    yield env.timeout(drive.unload_time)
-                    yield env.timeout(robot.exchange_time)
-                drive.unmount()
-                drive.mount(new_tape)
-                if tracing:
-                    sid = trace._next_id
-                    trace._next_id = sid + 1
-                    started = env._now
-                    try:
-                        yield env.timeout(drive.load_time)
-                    except BaseException:
-                        span_append((
-                            "load", started, env._now,
-                            {"drive": drive_name, "tape": str(tape_id), "aborted": True},
-                            sid, swid, request,
-                        ))
-                        raise
-                    span_append((
-                        "load", started, env._now,
-                        ("drive", drive_name, "tape", str(tape_id)),
-                        sid, swid, request,
-                    ))
-                else:
-                    yield env.timeout(drive.load_time)
-        else:
-            requested_at = env.now
-            with robot.resource.request() as grant:
-                yield grant
-                wait = env.now - requested_at
-                if wait > 0:
-                    trace.record(
-                        "robot_wait", requested_at, env.now,
-                        parent=swid, request=request, drive=drive_name,
+            # The paper "models robotic arm mount/unmount operations as
+            # constant time values": the arm is held for the whole
+            # unload + return-to-cell + fetch + mount sequence.
+            if tracing:
+                if exchange:
+                    yield from _traced_stage(
+                        env, trace, "unload", drive.unload_time, drive_attrs,
+                        swid, request,
                     )
-                record.robot_wait_s += wait
-                if tracing:
-                    sid = trace._next_id
-                    trace._next_id = sid + 1
-                    started = env._now
-                    try:
-                        yield env.timeout(robot.move_time)  # fetch only: drive was empty
-                    except BaseException:
-                        span_append((
-                            "robot_fetch", started, env._now,
-                            {"drive": drive_name, "aborted": True},
-                            sid, swid, request,
-                        ))
-                        raise
-                    span_append((
-                        "robot_fetch", started, env._now, ("drive", drive_name),
-                        sid, swid, request,
-                    ))
+                    yield from _traced_stage(
+                        env, trace, "robot_exchange", robot.exchange_time,
+                        drive_attrs, swid, request,
+                    )
+                    drive.unmount()
                 else:
-                    yield env.timeout(robot.move_time)
-                drive.mount(new_tape)
-                if tracing:
-                    sid = trace._next_id
-                    trace._next_id = sid + 1
-                    started = env._now
-                    try:
-                        yield env.timeout(drive.load_time)
-                    except BaseException:
-                        span_append((
-                            "load", started, env._now,
-                            {"drive": drive_name, "tape": str(tape_id), "aborted": True},
-                            sid, swid, request,
-                        ))
-                        raise
-                    span_append((
-                        "load", started, env._now,
-                        ("drive", drive_name, "tape", str(tape_id)),
-                        sid, swid, request,
-                    ))
+                    # Fetch only: the drive was empty.
+                    yield from _traced_stage(
+                        env, trace, "robot_fetch", robot.move_time, drive_attrs,
+                        swid, request,
+                    )
+            else:
+                if exchange:
+                    unload_end = env._now + drive.unload_time
+                    held = env.timeout_at(unload_end + robot.exchange_time)
                 else:
-                    yield env.timeout(drive.load_time)
+                    held = env.timeout(robot.move_time)
+                try:
+                    yield held
+                except BaseException:
+                    now = env._now
+                    if now == taken_at:
+                        # The per-stage path still waited for its grant.
+                        env.reschedule(held, now)
+                    elif exchange and now <= unload_end:
+                        env.reschedule(held, unload_end)
+                    raise
+                if exchange:
+                    drive.unmount()
+            drive.mount(new_tape)
+            if tracing:
+                yield from _traced_stage(
+                    env, trace, "load", drive.load_time,
+                    ("drive", drive_name, "tape", str(tape_id)), swid, request,
+                )
+            else:
+                yield env.timeout(drive.load_time)
     except BaseException:
         if tracing:
-            span_append((
+            trace._spans.append((
                 "switch", sw_started, env._now,
                 {"drive": drive_name, "tape": str(tape_id), "aborted": True},
                 swid, parent, request,
             ))
         raise
     if tracing:
-        span_append((
+        trace._spans.append((
             "switch", sw_started, env._now,
             ("drive", drive_name, "tape", str(tape_id)),
             swid, parent, request,

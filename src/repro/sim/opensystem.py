@@ -269,12 +269,40 @@ class SerialFCFSPolicy:
         if self.lock.users or self.lock.queue:
             raise RuntimeError("serial-fcfs lock still held after the run drained")
 
+    def close(self) -> None:
+        """Drop the back-reference to the open system."""
+        self.os = None
+
 
 #: "Not computed yet" marker for per-call lazily chosen values.
 _UNSET = object()
 _START_MB = attrgetter("start_mb")
 #: One library's share of a fan-out (see :meth:`ConcurrentPolicy._tape_rows`).
 _TapeRow = Tuple[int, Tuple[TapeId, ...], Tuple[tuple, ...], Tuple[Optional[tuple], ...]]
+
+
+class _Join:
+    """Countdown shared by the jobs of one submission.
+
+    ``event`` fires once every job has landed, served or aborted: one
+    kernel event per submission instead of one per job plus a condition.
+    The count is set before the first job is submitted, because a job
+    can land inside ``submit`` itself (a lost cartridge fails fast).
+    """
+
+    __slots__ = ("event", "remaining")
+
+    def __init__(self, env: Environment, remaining: int) -> None:
+        self.event = env.event()
+        self.remaining = remaining
+        if not remaining:
+            self.event.succeed()
+
+    def land(self) -> None:
+        """Count one job down; the last one fires the event."""
+        self.remaining -= 1
+        if not self.remaining:
+            self.event.succeed()
 
 
 @dataclass(eq=False)
@@ -291,7 +319,8 @@ class _DispatchedJob:
     request_id: int
     #: The owning request's per-drive records (shared across its jobs).
     records: Dict[str, DriveServiceRecord]
-    done: Event
+    #: The submission's countdown, landed once when this job is done.
+    join: _Join
     #: When a drive first began working on this job (service start).
     started_at: Optional[float] = None
     #: When the job entered the dispatcher (for queue/span accounting).
@@ -447,12 +476,16 @@ class ConcurrentPolicy:
         parent: Optional[int],
         records: Dict[str, DriveServiceRecord],
         repair: bool = False,
-    ) -> List[_DispatchedJob]:
-        """Submit one fresh job per tape of ``rows`` (see :meth:`_tape_rows`)."""
+    ) -> Tuple[List[_DispatchedJob], Event]:
+        """Submit one fresh job per tape of ``rows`` (see :meth:`_tape_rows`).
+
+        Returns the jobs and the one event that fires when all have landed.
+        """
         os = self.os
         env = os.env
         planner = os.seek_planner
         reserve_id = os.trace.reserve_id
+        join = _Join(env, sum(len(row[1]) for row in rows))
         djobs: List[_DispatchedJob] = []
         for library_id, tape_ids, extents, orders in rows:
             dispatcher = self.dispatchers[library_id]
@@ -464,12 +497,12 @@ class ConcurrentPolicy:
                 )
                 djob = _DispatchedJob(
                     job=job, request_id=trace_key, records=records,
-                    done=env.event(), submitted_at=env.now,
+                    join=join, submitted_at=env.now,
                     span_id=reserve_id(), parent_id=parent, repair=repair,
                 )
                 djobs.append(djob)
                 dispatcher.submit(djob)
-        return djobs
+        return djobs, join.event
 
     def serve(
         self,
@@ -488,9 +521,8 @@ class ConcurrentPolicy:
         trace_key = token if token is not None else request.id
         _, rows, total_mb, num_tapes = self._fanout(request)
         records: Dict[str, DriveServiceRecord] = {}
-        djobs = self._submit_tape_jobs(rows, trace_key, parent, records)
-
-        yield env.all_of([dj.done for dj in djobs])
+        djobs, landed = self._submit_tape_jobs(rows, trace_key, parent, records)
+        yield landed
 
         aborted = any(dj.aborted for dj in djobs)
         if records:
@@ -664,12 +696,12 @@ class ConcurrentPolicy:
             if rounds:
                 inst["retries"].inc()
             rounds += 1
-            djobs = self._submit_tape_jobs(
+            djobs, landed = self._submit_tape_jobs(
                 self._tape_rows(tape_extents), trace_key, parent, records
             )
             all_djobs.extend(djobs)
             submitted_tapes.update(tape_extents)
-            yield env.all_of([dj.done for dj in djobs])
+            yield landed
             for djob in djobs:
                 if djob.aborted:
                     excluded.add(djob.job.tape_id)
@@ -721,6 +753,12 @@ class ConcurrentPolicy:
                     f"library {dispatcher.library.id} finished with "
                     f"{unserved} unserved tape jobs (no eligible drive survived?)"
                 )
+
+    def close(self) -> None:
+        """Close every dispatcher and drop the back-reference to the system."""
+        for dispatcher in self.dispatchers.values():
+            dispatcher.close()
+        self.os = None
 
 
 class _LibraryDispatcher:
@@ -812,6 +850,26 @@ class _LibraryDispatcher:
         #: dropped whenever ``workers`` changes.
         self._live: Optional[Tuple[List[TapeDrive], bool]] = None
 
+    def close(self) -> None:
+        """Stop the parked workers and drop every tie to the open system.
+
+        Each parked process (worker, or pinned-drive restore) is detached
+        from the event it waits on and its generator closed, so neither the
+        processes nor this dispatcher are left in a reference cycle.  Only
+        for a drained system: nothing may run afterwards.
+        """
+        for event in list(self.wake.values()) + self._restore_waiters:
+            event.callbacks.clear()
+        for process in list(self.workers.values()) + list(self._restores.values()):
+            process._generator.close()
+        self.wake.clear()
+        self.inbox.clear()
+        self.workers.clear()
+        self._restores.clear()
+        self._restore_waiters = []
+        self._live = None
+        self.opensys = None
+
     # -- admission ------------------------------------------------------
     def submit(self, djob: _DispatchedJob) -> None:
         if self.media_armed and self.library.tapes[djob.job.tape_id].lost:
@@ -820,7 +878,7 @@ class _LibraryDispatcher:
             djob.aborted = True
             djob.error = f"tape {djob.job.tape_id} lost (media failure)"
             self._close_job_span(djob, drive_name="", aborted=True)
-            djob.done.succeed()
+            djob.join.land()
             return
         self._enqueue(djob)
         self._dispatch()
@@ -1046,7 +1104,7 @@ class _LibraryDispatcher:
             djob.aborted = True
             djob.error = f"tape {tape_id} lost (media failure)"
             self._close_job_span(djob, drive_name="", aborted=True)
-            djob.done.succeed()
+            djob.join.land()
         if doomed:
             self._dispatch()
 
@@ -1107,10 +1165,10 @@ class _LibraryDispatcher:
         try:
             while True:
                 if drive.failed or idx not in self.workers:
-                    return
+                    break
                 holder = self.library.drive_holding(home)
                 if holder is drive:
-                    return  # already home (e.g. a queued job remounted it)
+                    break  # already home (e.g. a queued job remounted it)
                 self_idle = (
                     home not in self.committed
                     and idx not in self.busy
@@ -1140,15 +1198,15 @@ class _LibraryDispatcher:
                             self.busy.discard(holder_idx)
                         if self.committed.get(home) == idx:
                             del self.committed[home]
-                    return
+                    break
                 event = env.event()
                 self._restore_waiters.append(event)
                 yield event
         except Interrupt:
-            return  # the drive failed again mid-restore; worker cleans up
-        finally:
-            self._restores.pop(idx, None)
-            self._dispatch()
+            pass  # the drive failed again mid-restore; worker cleans up
+        # Not reached when :meth:`close` tears a parked restore down.
+        self._restores.pop(idx, None)
+        self._dispatch()
 
     def _eject(self, holder: TapeDrive, tape_id: TapeId):
         """Rewind + robot unload: return a reclaimed cartridge to its cell."""
@@ -1204,7 +1262,7 @@ class _LibraryDispatcher:
                 "repair"
             )
             self._close_job_span(djob, drive_name="", aborted=True)
-            djob.done.succeed()
+            djob.join.land()
         self.pending_gauge.set(0, self.env.now)
 
     # -- the drive worker ------------------------------------------------
@@ -1217,6 +1275,7 @@ class _LibraryDispatcher:
         """
         env = self.env
         trace = self.trace
+        tracing = trace.enabled
         idx = drive.id.index
         drive_name = str(drive.id)
         djob: Optional[_DispatchedJob] = None
@@ -1228,14 +1287,16 @@ class _LibraryDispatcher:
                     yield event
                 djob = self.inbox.pop(idx)
                 job = djob.job
-                record = djob.records.setdefault(
-                    drive_name, DriveServiceRecord(drive_name)
-                )
+                records = djob.records
+                record = records.get(drive_name)
+                if record is None:
+                    record = records[drive_name] = DriveServiceRecord(drive_name)
+                now = env._now
                 if djob.started_at is None:
-                    djob.started_at = env.now
-                if env.now > djob.submitted_at:
+                    djob.started_at = now
+                if tracing and now > djob.submitted_at:
                     trace.record(
-                        "dispatch_wait", djob.submitted_at, env.now,
+                        "dispatch_wait", djob.submitted_at, now,
                         parent=djob.span_id, request=djob.request_id,
                         drive=drive_name,
                     )
@@ -1262,12 +1323,13 @@ class _LibraryDispatcher:
                     parent=djob.span_id, request=djob.request_id,
                     planner=self.seek_planner,
                 )
-                record.completion_s = env.now
+                record.completion_s = env._now
                 self.committed.pop(job.tape_id, None)
                 self.busy.discard(idx)
                 finished, djob = djob, None
-                self._close_job_span(finished, drive_name)
-                finished.done.succeed()
+                if finished.span_id is not None:
+                    self._close_job_span(finished, drive_name)
+                finished.join.land()
                 if self.wear_armed:
                     # Media wear is charged at job boundaries: one cycle per
                     # mount plus one per extent seek.  A wear death here
@@ -1303,7 +1365,7 @@ class _LibraryDispatcher:
                     record.completion_s = env.now
                 if orphan.job.is_done:
                     self._close_job_span(orphan, drive_name)
-                    orphan.done.succeed()
+                    orphan.join.land()
                 else:
                     # The in-flight extent restarts from scratch elsewhere;
                     # the job keeps its reserved span id, so the rescuing
@@ -1470,6 +1532,7 @@ class OpenSystem:
         self.scheduler_spec = scheduler
         self.env = Environment(scheduler=scheduler)
         self._ran = False
+        self._closed = False
         self._expected = 0
 
         # Registry first: policy binding and monitor attachment publish
@@ -1565,6 +1628,8 @@ class OpenSystem:
             )
         if num_arrivals <= 0:
             raise ValueError(f"num_arrivals must be positive, got {num_arrivals}")
+        if self._closed:
+            raise ValueError("this OpenSystem is closed; open a new one to run again")
         if self.shard_workers > 1 and self.shard_filter is None:
             from .sharding import maybe_run_sharded
 
@@ -1666,6 +1731,27 @@ class OpenSystem:
         avail_c.inc(result.horizon_s * result.availability - avail_c.value)
         return result
 
+    def close(self) -> None:
+        """Tear the system down once its last run has drained.
+
+        Closes the parked drive workers and clears the dispatchers' wake
+        events and inboxes and the policy's, fault injector's and repair
+        manager's references back to this system, which would otherwise
+        keep every finished system alive until a cyclic garbage
+        collection.  Results already returned stay valid; the system can
+        run no further stream (``reset=False`` continuation works only
+        until ``close()``).  Idempotent.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.policy.close()
+        if self.injector is not None:
+            self.injector.os = None
+        if self.repair is not None:
+            self.repair.os = None
+        self.on_complete = None
+
     def _request_runner(self, request: Request, arrival_s: float, sink: List[_Outcome]):
         # Catalog requests can be sampled repeatedly, so the span tree is
         # keyed by a unique per-arrival token; the catalog id rides along as
@@ -1725,14 +1811,17 @@ def simulate_open_system(
     shard_workers: int = 1,
 ) -> OpenSystemResult:
     """One-shot convenience: build an :class:`OpenSystem`, run one stream."""
-    return OpenSystem(
+    opensys = OpenSystem(
         session, policy=policy, failures=failures, faults=faults,
         fault_seed=fault_seed, seek_planner=seek_planner,
         repair_policy=repair_policy, read_selection=read_selection,
         scheduler=scheduler, shard_workers=shard_workers,
-    ).run(
+    )
+    result = opensys.run(
         arrival_rate_per_hour,
         num_arrivals=num_arrivals,
         seed=seed,
         sample_period_s=sample_period_s,
     )
+    opensys.close()
+    return result

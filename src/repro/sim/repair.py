@@ -256,11 +256,11 @@ class RepairManager:
                 tape_extents: Dict[TapeId, List[ObjectExtent]] = {}
                 for tape_id, extent in chosen:
                     tape_extents.setdefault(tape_id, []).append(extent)
-                djobs = policy._submit_tape_jobs(
+                djobs, landed = policy._submit_tape_jobs(
                     policy._tape_rows(tape_extents), token, ctx.id, records,
                     repair=True,
                 )
-                yield env.all_of([dj.done for dj in djobs])
+                yield landed
                 aborted = [dj for dj in djobs if dj.aborted]
                 if aborted:
                     excluded.update(dj.job.tape_id for dj in aborted)
@@ -296,11 +296,11 @@ class RepairManager:
                     task.object_id, set()
                 )
                 inflight.add(target.id)
-                djobs = policy._submit_tape_jobs(
+                djobs, landed = policy._submit_tape_jobs(
                     policy._tape_rows({target.id: [extent]}), token, ctx.id,
                     records, repair=True,
                 )
-                yield env.all_of([dj.done for dj in djobs])
+                yield landed
                 inflight.discard(target.id)
                 if not inflight:
                     self._inflight_targets.pop(task.object_id, None)

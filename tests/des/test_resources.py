@@ -215,3 +215,116 @@ class TestPriorityResource:
         env.process(patient())
         env.run()
         assert log == [5]
+
+
+class TestTryAcquire:
+    """``try_acquire`` is ``request`` minus the grant event, or nothing."""
+
+    def test_grants_a_free_slot_without_an_event(self, env):
+        res = Resource(env, 1)
+        grant = res.try_acquire()
+        assert grant is not None
+        assert grant.triggered and grant.processed and grant.ok
+        assert grant.requested_at == 0.0
+        assert res.users == [grant]
+        assert len(env) == 0  # nothing scheduled
+
+    def test_none_when_full(self, env):
+        res = Resource(env, 1)
+        held = res.try_acquire()
+        assert held is not None
+        assert res.try_acquire() is None
+        assert res.users == [held] and res.queue == []
+
+    def test_none_while_anyone_is_queued(self, env):
+        res = Resource(env, 1)
+        holder = res.try_acquire()
+        queued = res.request()
+        assert res.queue == [queued]
+        assert res.try_acquire() is None
+        holder.cancel()  # the queued request takes the slot at once
+        assert res.users == [queued] and res.queue == []
+        assert res.try_acquire() is None
+        queued.cancel()
+        assert res.try_acquire() is not None
+
+    def test_capacity_above_one(self, env):
+        res = Resource(env, 3)
+        grants = [res.try_acquire() for _ in range(3)]
+        assert all(g is not None for g in grants)
+        assert res.count == 3
+        assert res.try_acquire() is None
+        grants[1].cancel()
+        again = res.try_acquire()
+        assert again is not None and res.count == 3
+
+    def test_release_hands_the_slot_to_the_fifo_head(self, env):
+        res = Resource(env, 1)
+        log = []
+
+        def holder():
+            with res.try_acquire():
+                yield env.timeout(2)
+
+        def waiter(name):
+            with res.request() as req:
+                yield req
+                log.append((name, env.now))
+                yield env.timeout(1)
+
+        env.process(holder())
+        env.process(waiter("b"))
+        env.process(waiter("c"))
+        env.run()
+        assert log == [("b", 2.0), ("c", 3.0)]
+
+    def test_yielding_the_grant_resumes_at_once(self, env):
+        res = Resource(env, 1)
+        log = []
+
+        def user():
+            grant = res.try_acquire()
+            value = yield grant
+            log.append((env.now, value))
+            grant.cancel()
+
+        env.process(user())
+        env.run()
+        assert log == [(0.0, None)]
+        assert res.count == 0
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_monitor_books_match_request(self, capacity):
+        from repro.des import ResourceUsageMonitor
+
+        def run(fast):
+            env = Environment()
+            res = Resource(env, capacity)
+            monitor = ResourceUsageMonitor("r").attach(res)
+            log = []
+
+            def user(name, start, hold):
+                yield env.timeout(start)
+                grant = res.try_acquire() if fast else None
+                queued = grant is None
+                if queued:
+                    grant = res.request()
+                with grant:
+                    if queued:
+                        yield grant
+                    log.append((name, env.now))
+                    yield env.timeout(hold)
+
+            for i, (start, hold) in enumerate(
+                [(0, 4), (1, 3), (1, 2), (2, 5), (9, 1), (9.5, 2), (10, 1)]
+            ):
+                env.process(user(i, start, hold))
+            env.run()
+            return sorted(log), monitor.summary()
+
+        fast_log, fast_books = run(fast=True)
+        slow_log, slow_books = run(fast=False)
+        assert fast_log == slow_log
+        assert fast_books == slow_books
+        assert fast_books["grants"] == 7
+        assert fast_books["queue_wait_s"] > 0

@@ -13,6 +13,7 @@ Covers the refactor's contract from three sides:
   overlap-aware `QueueingResult` aggregates.
 """
 
+import gc
 import hashlib
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.sim import (
     QueuedRequestRecord,
     QueueingResult,
     SimulationSession,
+    TapeFailure,
     TapeJob,
     TransientFaults,
     available_scheduling_policies,
@@ -322,6 +324,70 @@ class TestOpenSystemLifecycle:
         assert "concurrent" in repr(osys)
 
 
+class TestClose:
+    """``close()`` lets a finished system go by reference counting alone."""
+
+    def _open(self, policy):
+        from repro.redundancy import wrap_scheme
+
+        workload = _workload(
+            num_objects=600, request_size_bounds=(8, 16), mean_object_size_mb=None
+        )
+        spec = _spec(num_drives=2, num_tapes=40, tape_capacity_mb=2_000.0)
+        scheme = wrap_scheme(ParallelBatchPlacement(m=1), "r=2")
+        session = SimulationSession(workload, spec, scheme=scheme)
+        if policy == "serial-fcfs":  # arms no faults
+            return session.open(policy=policy)
+        busiest = max(session.system.all_tapes(), key=lambda t: (t.used_mb, t.id))
+        return session.open(
+            policy=policy,
+            faults=(
+                DriveFaultProcess(mtbf_s=600.0, mttr_s=120.0),
+                TapeFailure(str(busiest.id), at_s=150.0),
+            ),
+            fault_seed=3,
+            repair_policy="fair-share",
+        )
+
+    def _garbage_after(self, policy, close):
+        """Cyclic garbage left by two runs (the second continues the first)."""
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            opensys = self._open(policy)
+            first = opensys.run(240.0, num_arrivals=20, seed=11, sample_period_s=60.0)
+            second = opensys.run(240.0, num_arrivals=10, seed=12, reset=False)
+            assert second.records[0].arrival_s > first.horizon_s - 1e-9
+            if policy == "concurrent":
+                assert first.faults["drive_failures"] > 0
+                assert first.repair["members_rebuilt"] > 0
+            if close:
+                opensys.close()
+                opensys.close()  # idempotent
+            del opensys, first, second
+            return gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("policy", ["serial-fcfs", "concurrent"])
+    def test_close_leaves_no_cycle(self, policy):
+        assert self._garbage_after(policy, close=True) == 0
+
+    @pytest.mark.parametrize("policy", ["serial-fcfs", "concurrent"])
+    def test_an_unclosed_system_is_a_cycle(self, policy):
+        assert self._garbage_after(policy, close=False) > 0
+
+    def test_results_outlive_close_and_runs_stop(self, workload, spec):
+        osys = _session(workload, spec).open()
+        result = osys.run(60.0, num_arrivals=10, seed=0)
+        osys.close()
+        assert len(result.records) == 10 and result.spans() is not None
+        with pytest.raises(ValueError, match="closed"):
+            osys.run(60.0, num_arrivals=10, seed=1, reset=False)
+
+
 # ---------------------------------------------------------------------------
 # Windowed metrics and the in-flight profile
 # ---------------------------------------------------------------------------
@@ -482,7 +548,7 @@ class TestKernelFastPathParity:
             span_digest="762acaa5735ac7df",
             metrics_digest="94aa3ccecc7eb4a8",
             switches=4,
-            events_processed=1292,
+            events_processed=1170,
             robot0=dict(grants=2, busy_s=28.0, queue_wait_s=0.0),
         ),
     }
@@ -564,7 +630,7 @@ class TestKernelFastPathParity:
         assert len(result.spans()) == 1247
         assert result.availability == 0.9602682894847447
         assert result.aborted_requests == 0
-        assert opensys.env.events_processed == 1322
+        assert opensys.env.events_processed == 1200
         faults = result.faults
         assert faults["drive_failures"] == 1.0
         assert faults["drive_repairs"] == 1.0
